@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race bench benchsmoke crashsweep fuzzsmoke allocguard monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke nightly profile
+.PHONY: all build test check fmt vet lint race bench benchsmoke crashsweep fuzzsmoke allocguard monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke perfbenchtest nightly profile
 
 all: build test
 
@@ -21,8 +21,9 @@ test:
 # the traffic smoke (real binary, a seeded multi-tenant spec run twice
 # stepped and once with -event-clock, all three dumps diffed), and the
 # snapshot/fork smoke (real binary, -snapshot-out then two -snapshot-in
-# resumes, all dumps diffed against a cold run).
-check: fmt vet race allocguard benchsmoke crashsweep fuzzsmoke monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke
+# resumes, all dumps diffed against a cold run), and the repository
+# benchmark's own unit tests.
+check: fmt vet race allocguard benchsmoke crashsweep fuzzsmoke monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke perfbenchtest
 
 # allocguard pins the replay fast path's zero-allocation steady state (see
 # allocguard_test.go); it needs a non-race build because race instrumentation
@@ -88,6 +89,12 @@ trafficsmoke:
 # end (see fork_smoke_test.go).
 forksmoke:
 	$(GO) test -run TestForkSmoke .
+
+# perfbenchtest runs the repository benchmark's unit tests (output digests,
+# span self-time, profile layer bucketing). perfbench/ is its own Go module,
+# so `go test ./...` at the root never reaches it.
+perfbenchtest:
+	$(GO) -C perfbench test ./...
 
 # lint runs staticcheck when it is installed (CI installs a pinned version;
 # see .github/workflows/ci.yml) and falls back to go vet locally so the

@@ -174,41 +174,13 @@ func main() {
 	case "extensions":
 		// Studies beyond the paper's evaluation that it points at:
 		// consolidation frequency, NVM technologies, write-buffer depth,
-		// context-switch interference.
-		if r, err := bench.ExtConsolidation(opt); err != nil {
+		// context-switch interference, checkpoint cost, recovery time.
+		rs, err := bench.RunExtensions(opt)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
 			os.Exit(1)
-		} else {
-			run(r, nil)
 		}
-		if r, err := bench.ExtNVMTech(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
-		}
-		if r, err := bench.ExtWriteBuffer(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
-		}
-		if r, err := bench.ExtContextSwitch(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
-		}
-		if r, err := bench.ExtCheckCost(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
-		}
-		if r, err := bench.ExtRecoveryTime(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
+		for _, r := range rs {
 			run(r, nil)
 		}
 	default:

@@ -30,6 +30,28 @@ import (
 //   - Table I's NVM write-buffer size is a first-class design parameter of
 //     the memory controller → ExtWriteBuffer.
 
+// RunExtensions runs the six extension studies — consolidation frequency,
+// NVM technologies, write-buffer depth, context switches, checkpoint cost
+// and recovery time — over the worker pool, sharing workload images and
+// warm boot prefixes across them as RunAll does, and returns their results
+// in that order.
+func RunExtensions(opt Options) ([]Experiment, error) {
+	opt = opt.shared()
+	res := make([]Experiment, 6)
+	tasks := []experimentTask{
+		{"Consolidation frequency", func() (err error) { res[0], err = ExtConsolidation(opt); return }},
+		{"NVM technologies", func() (err error) { res[1], err = ExtNVMTech(opt); return }},
+		{"Write-buffer depth", func() (err error) { res[2], err = ExtWriteBuffer(opt); return }},
+		{"Context switches", func() (err error) { res[3], err = ExtContextSwitch(opt); return }},
+		{"Checkpoint cost", func() (err error) { res[4], err = ExtCheckCost(opt); return }},
+		{"Recovery time", func() (err error) { res[5], err = ExtRecoveryTime(opt); return }},
+	}
+	if err := runExperiments(opt, tasks, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // ExtConsolidationRow is one consolidation-interval point.
 type ExtConsolidationRow struct {
 	Interval     time.Duration

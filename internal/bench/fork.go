@@ -21,7 +21,9 @@ import (
 // as a copy-on-write core.Snapshot; each cell forks it instead of
 // re-simulating boot + attach + spawn. Results are byte-identical either way
 // — pinned by TestGridWarmForkIdentity — the fork only removes redundant
-// host work.
+// host work. Workload images get the same treatment without a knob: RunAll
+// and RunExtensions trace each one once and share it read-only (see
+// imagecache.go), following the paper's "prepare once, simulate many" split.
 
 // warmKey identifies one shared boot prefix.
 type warmKey struct {
@@ -55,25 +57,35 @@ func (c *warmCache) get(scheme persist.Scheme, interval time.Duration) (*core.Sn
 	return s, nil
 }
 
+// runCaches is what the experiments and grid cells of one run share.
+type runCaches struct {
+	warm   *warmCache  // frozen boot prefixes; nil unless WarmFork
+	images *imageCache // traced workload images; nil outside RunAll/RunExtensions
+}
+
 // warmed attaches the shared snapshot cache when WarmFork is on. Experiments
 // call it once at the top so every cell closure shares the same cache
-// pointer; RunAll calls it before fanning out so experiments share prefixes
-// too.
+// pointer; under RunAll and RunExtensions, shared has attached it already,
+// so experiments share prefixes too.
 func (o Options) warmed() Options {
-	if o.WarmFork && o.warm == nil {
-		o.warm = &warmCache{snaps: map[warmKey]*core.Snapshot{}}
+	if o.WarmFork && o.caches == nil {
+		o.caches = &runCaches{warm: newWarmCache()}
 	}
 	return o
+}
+
+func newWarmCache() *warmCache {
+	return &warmCache{snaps: map[warmKey]*core.Snapshot{}}
 }
 
 // persistenceRun is the grid cells' boot path: newPersistenceRun cold, or a
 // copy-on-write fork of the shared (scheme, interval) snapshot under
 // Options.WarmFork.
 func (o Options) persistenceRun(scheme persist.Scheme, interval time.Duration) (*core.Framework, *gemos.Process, error) {
-	if o.warm == nil {
+	if o.caches == nil || o.caches.warm == nil {
 		return newPersistenceRun(scheme, interval)
 	}
-	snap, err := o.warm.get(scheme, interval)
+	snap, err := o.caches.warm.get(scheme, interval)
 	if err != nil {
 		return nil, nil, err
 	}

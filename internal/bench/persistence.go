@@ -42,9 +42,10 @@ type Options struct {
 	// shard counts without -normalize-env).
 	Shards int
 
-	// warm is the shared snapshot cache WarmFork cells fork from; attached
-	// by warmed() so closures capturing Options share one cache.
-	warm *warmCache
+	// caches holds what closures capturing Options share: the snapshot
+	// cache WarmFork cells fork from (attached by warmed) and, in RunAll
+	// and RunExtensions, the workload-image cache (attached by shared).
+	caches *runCaches
 }
 
 func (o Options) scale() float64 {

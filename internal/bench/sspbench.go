@@ -9,34 +9,7 @@ import (
 	"kindle/internal/sim"
 	"kindle/internal/ssp"
 	"kindle/internal/trace"
-	"kindle/internal/workloads"
 )
-
-// workloadImage produces the trace image for one Table II benchmark at the
-// requested scale (ops scale down; data-structure footprints stay at paper
-// size so cache and TLB pressure remain realistic).
-func workloadImage(benchmark string, opt Options) (*trace.Image, error) {
-	ops := int(float64(workloads.PaperOps) * opt.scale())
-	if ops < 50_000 {
-		ops = 50_000
-	}
-	switch benchmark {
-	case core.BenchPageRank:
-		cfg := workloads.DefaultPageRank()
-		cfg.Ops = ops
-		return workloads.PageRank(cfg)
-	case core.BenchSSSP:
-		cfg := workloads.DefaultSSSP()
-		cfg.Ops = ops
-		return workloads.SSSP(cfg)
-	case core.BenchYCSB:
-		cfg := workloads.DefaultYCSB()
-		cfg.Ops = ops
-		return workloads.YCSB(cfg)
-	default:
-		return nil, fmt.Errorf("bench: unknown benchmark %q", benchmark)
-	}
-}
 
 // Fig5Row is one benchmark's normalized execution times under the three
 // consistency intervals.

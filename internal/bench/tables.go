@@ -193,23 +193,11 @@ func (r *Results) CheckShapes() error {
 // (every experiment writes its own slot, and each simulation owns its
 // machine).
 func RunAll(opt Options, progress func(string)) (*Results, error) {
-	// Attach the warm-fork snapshot cache (if enabled) once, so experiments
-	// with the same (scheme, interval) boot prefix share it across the run.
-	opt = opt.warmed()
-	var mu sync.Mutex
-	note := func(s string) {
-		if progress == nil {
-			return
-		}
-		mu.Lock()
-		progress(s)
-		mu.Unlock()
-	}
+	// Attach the run-wide caches once, so experiments share workload images
+	// and (under WarmFork) (scheme, interval) boot prefixes across the run.
+	opt = opt.shared()
 	res := &Results{}
-	tasks := []struct {
-		name string
-		run  func() error
-	}{
+	tasks := []experimentTask{
 		{"Table I", func() error { res.TableI = TableI(); return nil }},
 		{"Table II", func() (err error) { res.TableII, err = TableII(opt); return }},
 		{"Figure 4a", func() (err error) { res.Fig4a, err = Fig4a(opt); return }},
@@ -224,18 +212,37 @@ func RunAll(opt Options, progress func(string)) (*Results, error) {
 		{"Interval stats", func() (err error) { res.Intervals, err = Intervals(opt); return }},
 		{"Image sizes", func() (err error) { res.ImageSizes, err = ImageSizes(opt); return }},
 	}
+	if err := runExperiments(opt, tasks, progress); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// experimentTask is one experiment of a suite run; run stores its result
+// in a slot of its own.
+type experimentTask struct {
+	name string
+	run  func() error
+}
+
+// runExperiments fans a suite's experiments out over the worker pool,
+// reporting each start and finish to opt.Progress and, serialized, a
+// "<name> done" line to progress (optional). The returned error is the
+// lowest-index failure.
+func runExperiments(opt Options, tasks []experimentTask, progress func(string)) error {
+	var mu sync.Mutex
 	opt.Progress.SetWorkers(opt.workers())
-	err := forEachIndexed(opt.workers(), len(tasks), func(i int) error {
+	return forEachIndexed(opt.workers(), len(tasks), func(i int) error {
 		opt.Progress.ExperimentStarted(tasks[i].name)
 		if err := tasks[i].run(); err != nil {
 			return err
 		}
 		opt.Progress.ExperimentFinished(tasks[i].name)
-		note(tasks[i].name + " done")
+		if progress != nil {
+			mu.Lock()
+			progress(tasks[i].name + " done")
+			mu.Unlock()
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -321,32 +321,51 @@ func TestV2ErrorsNameOffsets(t *testing.T) {
 }
 
 // TestReadAheadBufferReuse verifies the bounded-memory contract: however
-// many chunks the stream holds, the decoder cycles through at most two
-// record buffers.
+// many chunks the stream holds, the serial decoder cycles through at most
+// two record buffers, and the pipelined decoder through at most workers+2
+// (its record-buffer pool, nRecBufs in pipeline.go).
 func TestReadAheadBufferReuse(t *testing.T) {
 	img := mkImage(640)
 	var buf bytes.Buffer
 	if err := EncodeV2(&buf, img, StreamOptions{ChunkRecords: 64}); err != nil {
 		t.Fatal(err)
 	}
-	src, err := OpenStream(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	backing := map[*Record]bool{}
-	for {
-		batch, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		backing[&batch[:1][0]] = true
-	}
-	if len(backing) > 2 {
-		t.Fatalf("decoder used %d distinct chunk buffers, want <= 2", len(backing))
+	for _, tc := range []struct {
+		name     string
+		workers  int
+		wantBufs int
+	}{
+		{"serial", 1, 2},
+		{"pipelined-2", 2, 4},
+		{"pipelined-3", 3, 5},
+		{"pipelined-4", 4, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := OpenStreamConfig(bytes.NewReader(buf.Bytes()), StreamConfig{DecodeWorkers: tc.workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			backing := map[*Record]bool{}
+			n := 0
+			for {
+				batch, err := src.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				backing[&batch[:1][0]] = true
+				n += len(batch)
+			}
+			if n != len(img.Records) {
+				t.Fatalf("decoded %d records, want %d", n, len(img.Records))
+			}
+			if len(backing) > tc.wantBufs {
+				t.Fatalf("decoder used %d distinct chunk buffers, want <= %d", len(backing), tc.wantBufs)
+			}
+		})
 	}
 }
 

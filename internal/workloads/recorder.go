@@ -108,6 +108,11 @@ func (r *Recorder) record(area int, off uint64, op trace.Op, size uint32) {
 		r.count++
 		return
 	}
+	if r.img.Records == nil && r.limit > 0 {
+		// Every generator records until Full, so a capped trace ends at
+		// exactly limit records: size the slice once instead of growing it.
+		r.img.Records = make([]trace.Record, 0, r.limit)
+	}
 	r.img.Records = append(r.img.Records, rec)
 	r.count++
 }

@@ -191,6 +191,44 @@ func TestRecorderLimit(t *testing.T) {
 	}
 }
 
+// TestRecorderPreallocatesTrace pins the materialized capture's sizing:
+// every generator records until Full, so its trace fills the slice the
+// recorder sized up front exactly, with no growth and no slack.
+func TestRecorderPreallocatesTrace(t *testing.T) {
+	for name, run := range map[string]func() (*trace.Image, int, error){
+		"pagerank": func() (*trace.Image, int, error) {
+			cfg := SmallPageRank()
+			img, err := PageRank(cfg)
+			return img, cfg.Ops, err
+		},
+		"sssp": func() (*trace.Image, int, error) {
+			cfg := SmallSSSP()
+			img, err := SSSP(cfg)
+			return img, cfg.Ops, err
+		},
+		"ycsb": func() (*trace.Image, int, error) {
+			cfg := SmallYCSB()
+			img, err := YCSB(cfg)
+			return img, cfg.Ops, err
+		},
+		"ycsbmt": func() (*trace.Image, int, error) {
+			cfg := SmallYCSBMT()
+			img, err := YCSBMT(cfg)
+			return img, cfg.Ops, err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			img, ops, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(img.Records) != ops || cap(img.Records) != ops {
+				t.Fatalf("len %d cap %d, want both %d", len(img.Records), cap(img.Records), ops)
+			}
+		})
+	}
+}
+
 func TestRecorderPeriodsMonotone(t *testing.T) {
 	img, _ := SSSP(SmallSSSP())
 	last := uint64(0)
@@ -335,8 +373,8 @@ func TestStreamedCaptureMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(hdr.Records) != 0 {
-				t.Fatalf("streaming run materialized %d records", len(hdr.Records))
+			if cap(hdr.Records) != 0 {
+				t.Fatalf("streaming run materialized %d records (cap %d)", len(hdr.Records), cap(hdr.Records))
 			}
 			if col.benchmark != ref.Benchmark || len(col.areas) != len(ref.Areas) {
 				t.Fatalf("sink header %q/%d areas, want %q/%d", col.benchmark, len(col.areas), ref.Benchmark, len(ref.Areas))
