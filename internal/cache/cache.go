@@ -21,38 +21,34 @@ import (
 
 // Level is a single set-associative cache.
 //
-// The tag store is flat: set si owns tags[si*ways : si*ways+lens[si]],
-// each way a 16-byte {addr, lru} record so a probe's tag compare and its
-// LRU re-stamp share one host cache line, while dirty bits live in a
-// small per-set bitmask array. That keeps the simulated LLC's tag state
-// compact (the structure is walked randomly and is far bigger than the
-// host L2) and makes residency scans stride 16 bytes, not a full record.
+// The tag store is recency-ordered: set si owns the ways consecutive words
+// lines[si*ways : (si+1)*ways], most recently used first. A word is the
+// line's 64-byte-aligned base address with lineValid and lineDirty in the
+// free low bits; valid words are packed at the front of the set and a zero
+// word is an empty way. A hit moves its word to the front, a fill pushes
+// the set down one slot and the last word falls out as the LRU victim, so
+// there is no timestamp to keep and no victim search. Move-to-front keeps
+// exactly the total order a unique, monotone LRU clock would, which makes
+// hits, victims and write-backs those of classic timestamp LRU.
 type Level struct {
 	name    string
 	sets    int
 	ways    int
 	latency sim.Cycles
-	stats   *sim.Stats
 
-	tags      []way    // flat sets*ways tag store
-	dirtyBits []uint32 // dirty bitmask per set (bit = way index)
-	lens      []int32  // valid ways per set
-	clock     uint64   // LRU timestamp source
+	lines []uint64 // sets*ways words, each set MRU first
 
 	setMask uint64 // sets-1 when sets is a power of two, else 0 (use modulo)
-
-	// mru[set] is the way index of the set's last hit or fill — a probe
-	// hint only, always verified against the tag before use.
-	mru    []int32
-	mruOff bool // disables the MRU fast probe (equivalence testing)
 
 	evicts *sim.Counter // "cache.<name>.evict", resolved once
 }
 
-type way struct {
-	addr mem.PhysAddr // line base address
-	lru  uint64       // LRU timestamp
-}
+// Tag-word flag bits; line addresses are LineSize-aligned, so the low bits
+// of a word are free.
+const (
+	lineValid uint64 = 1 << 0
+	lineDirty uint64 = 1 << 1
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -66,21 +62,17 @@ type Config struct {
 // Ways*LineSize.
 func NewLevel(cfg Config, stats *sim.Stats) *Level {
 	linesTotal := int(cfg.Size / mem.LineSize)
-	if cfg.Ways <= 0 || cfg.Ways > 32 || linesTotal%cfg.Ways != 0 {
+	if cfg.Ways <= 0 || linesTotal == 0 || linesTotal%cfg.Ways != 0 {
 		panic(fmt.Sprintf("cache: bad geometry for %s: %d lines, %d ways", cfg.Name, linesTotal, cfg.Ways))
 	}
 	sets := linesTotal / cfg.Ways
 	l := &Level{
-		name:      cfg.Name,
-		sets:      sets,
-		ways:      cfg.Ways,
-		latency:   cfg.Latency,
-		stats:     stats,
-		tags:      make([]way, sets*cfg.Ways),
-		dirtyBits: make([]uint32, sets),
-		lens:      make([]int32, sets),
-		mru:       make([]int32, sets),
-		evicts:    stats.Counter("cache." + cfg.Name + ".evict"),
+		name:    cfg.Name,
+		sets:    sets,
+		ways:    cfg.Ways,
+		latency: cfg.Latency,
+		lines:   make([]uint64, linesTotal),
+		evicts:  stats.Counter("cache." + cfg.Name + ".evict"),
 	}
 	if sets&(sets-1) == 0 {
 		l.setMask = uint64(sets - 1)
@@ -88,136 +80,114 @@ func NewLevel(cfg Config, stats *sim.Stats) *Level {
 	return l
 }
 
-func (l *Level) setIndex(addr mem.PhysAddr) int {
+// set returns the ways of the set addr maps to, MRU first.
+func (l *Level) set(addr mem.PhysAddr) []uint64 {
+	line := uint64(addr) / mem.LineSize
+	var si uint64
 	if l.setMask != 0 || l.sets == 1 {
-		return int((uint64(addr) / mem.LineSize) & l.setMask)
+		si = line & l.setMask
+	} else {
+		si = line % uint64(l.sets)
 	}
-	return int((uint64(addr) / mem.LineSize) % uint64(l.sets))
+	b := int(si) * l.ways
+	return l.lines[b : b+l.ways : b+l.ways]
 }
 
-// lookup returns the set index and way index of addr, or way -1.
-func (l *Level) lookup(addr mem.PhysAddr) (si, w int) {
-	si = l.setIndex(addr)
-	b := si * l.ways
-	set := l.tags[b : b+int(l.lens[si])]
-	for i := range set {
-		if set[i].addr == addr {
-			return si, i
+// find returns the way holding addr in set, or -1. Empty ways are zero and
+// never match, so the scan needs no separate stop at the first of them.
+func find(set []uint64, addr mem.PhysAddr) int {
+	key := uint64(addr) | lineValid
+	for i, w := range set {
+		if w&^lineDirty == key {
+			return i
 		}
 	}
-	return si, -1
+	return -1
 }
 
 // Probe reports residency without touching LRU state or stats.
 func (l *Level) Probe(addr mem.PhysAddr) bool {
-	_, w := l.lookup(mem.LineBase(addr))
-	return w >= 0
+	addr = mem.LineBase(addr)
+	return find(l.set(addr), addr) >= 0
 }
 
-// access touches addr; returns hit. On hit, LRU is refreshed and the line
-// is marked dirty when write.
+// access touches addr; returns hit. A hit moves the line to the front of
+// its set and marks it dirty when write.
 func (l *Level) access(addr mem.PhysAddr, write bool) bool {
-	si := l.setIndex(addr)
-	b := si * l.ways
-	set := l.tags[b : b+int(l.lens[si])]
-	if !l.mruOff {
-		// Probe the last-hit way before scanning the set; the hint is
-		// verified against the tag, and the hit-side effects are identical
-		// to a scan hit, so simulated state cannot diverge.
-		if m := int(l.mru[si]); m < len(set) && set[m].addr == addr {
-			l.clock++
-			set[m].lru = l.clock
-			if write {
-				l.dirtyBits[si] |= 1 << uint(m)
-			}
-			return true
+	set := l.set(addr)
+	if set[0]&^lineDirty == uint64(addr)|lineValid {
+		if write {
+			set[0] |= lineDirty
 		}
+		return true
 	}
-	for i := range set {
-		if set[i].addr == addr {
-			l.clock++
-			set[i].lru = l.clock
-			if write {
-				l.dirtyBits[si] |= 1 << uint(i)
-			}
-			l.mru[si] = int32(i)
-			return true
-		}
+	i := find(set, addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	w := set[i]
+	if write {
+		w |= lineDirty
+	}
+	copy(set[1:i+1], set[:i])
+	set[0] = w
+	return true
 }
 
-// fill inserts addr, evicting the LRU line if the set is full. The evicted
-// line (if any, with its dirty bit) is returned.
+// fill inserts addr, which must not be resident, as the MRU line. When the
+// set was full the LRU line falls out and is returned with its dirty bit.
 func (l *Level) fill(addr mem.PhysAddr, dirty bool) (victim mem.PhysAddr, victimDirty, evicted bool) {
-	si := l.setIndex(addr)
-	b := si * l.ways
-	n := int(l.lens[si])
-	l.clock++
-	if n < l.ways {
-		l.tags[b+n] = way{addr: addr, lru: l.clock}
-		l.setDirty(si, n, dirty)
-		l.lens[si] = int32(n + 1)
-		l.mru[si] = int32(n)
+	set := l.set(addr)
+	last := set[len(set)-1]
+	copy(set[1:], set)
+	w := uint64(addr) | lineValid
+	if dirty {
+		w |= lineDirty
+	}
+	set[0] = w
+	if last == 0 {
 		return 0, false, false
 	}
-	// Evict LRU.
-	set := l.tags[b : b+n]
-	lruIdx := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[lruIdx].lru {
-			lruIdx = i
-		}
-	}
-	victim = set[lruIdx].addr
-	victimDirty = l.dirtyBits[si]&(1<<uint(lruIdx)) != 0
-	set[lruIdx] = way{addr: addr, lru: l.clock}
-	l.setDirty(si, lruIdx, dirty)
-	l.mru[si] = int32(lruIdx)
-	return victim, victimDirty, true
+	return mem.LineBase(mem.PhysAddr(last)), last&lineDirty != 0, true
 }
 
-// setDirty writes way w's dirty bit in set si.
-func (l *Level) setDirty(si, w int, dirty bool) {
-	if dirty {
-		l.dirtyBits[si] |= 1 << uint(w)
-	} else {
-		l.dirtyBits[si] &^= 1 << uint(w)
-	}
-}
-
-// invalidate removes addr (swap-remove with the set's last way),
-// returning whether it was present and dirty.
+// invalidate removes addr, closing the gap so the remaining lines keep
+// their recency order, and reports whether it was present and dirty.
 func (l *Level) invalidate(addr mem.PhysAddr) (present, dirty bool) {
-	si, w := l.lookup(addr)
-	if w < 0 {
+	set := l.set(addr)
+	i := find(set, addr)
+	if i < 0 {
 		return false, false
 	}
-	b := si * l.ways
-	last := int(l.lens[si]) - 1
-	dirty = l.dirtyBits[si]&(1<<uint(w)) != 0
-	l.tags[b+w] = l.tags[b+last]
-	l.setDirty(si, w, l.dirtyBits[si]&(1<<uint(last)) != 0)
-	l.setDirty(si, last, false)
-	l.lens[si] = int32(last)
+	dirty = set[i]&lineDirty != 0
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = 0
 	return true, dirty
 }
 
 // clean clears the dirty bit of addr if resident; reports prior dirtiness.
 func (l *Level) clean(addr mem.PhysAddr) (present, wasDirty bool) {
-	si, w := l.lookup(addr)
-	if w < 0 {
+	set := l.set(addr)
+	i := find(set, addr)
+	if i < 0 {
 		return false, false
 	}
-	wasDirty = l.dirtyBits[si]&(1<<uint(w)) != 0
-	l.dirtyBits[si] &^= 1 << uint(w)
+	wasDirty = set[i]&lineDirty != 0
+	set[i] &^= lineDirty
 	return true, wasDirty
 }
 
-// reset empties the level, keeping the backing arrays.
-func (l *Level) reset() {
-	for i := range l.lens {
-		l.lens[i] = 0
-		l.dirtyBits[i] = 0
+// cleanToDirty marks addr dirty if resident; reports prior dirtiness.
+func (l *Level) cleanToDirty(addr mem.PhysAddr) (present, prev bool) {
+	set := l.set(addr)
+	i := find(set, addr)
+	if i < 0 {
+		return false, false
 	}
+	prev = set[i]&lineDirty != 0
+	set[i] |= lineDirty
+	return true, prev
 }
+
+// reset empties the level, keeping the backing array.
+func (l *Level) reset() { clear(l.lines) }

@@ -1,29 +1,16 @@
 package cache
 
-import (
-	"fmt"
-
-	"kindle/internal/mem"
-)
+import "fmt"
 
 // Snapshot mirrors of the cache tag state, for machine forks. The mirrors
 // are plain data (gob-encodable); geometry (sets/ways/latency) is not
 // captured — it is derived from the machine Config the restoring side
 // rebuilds with, and RestoreState rejects a mismatch.
 
-// WayState is one tag-store record.
-type WayState struct {
-	Addr uint64
-	LRU  uint64
-}
-
-// LevelState mirrors one cache level's mutable state.
+// LevelState mirrors one cache level's tag store: the Level's words, set
+// by set, most recently used first.
 type LevelState struct {
-	Tags  []WayState
-	Dirty []uint32
-	Lens  []int32
-	MRU   []int32
-	Clock uint64
+	Lines []uint64
 }
 
 // HierarchyState mirrors the full three-level stack.
@@ -32,31 +19,16 @@ type HierarchyState struct {
 }
 
 func (l *Level) captureState() LevelState {
-	st := LevelState{
-		Tags:  make([]WayState, len(l.tags)),
-		Dirty: append([]uint32(nil), l.dirtyBits...),
-		Lens:  append([]int32(nil), l.lens...),
-		MRU:   append([]int32(nil), l.mru...),
-		Clock: l.clock,
-	}
-	for i, w := range l.tags {
-		st.Tags[i] = WayState{Addr: uint64(w.addr), LRU: w.lru}
-	}
-	return st
+	return LevelState{Lines: append([]uint64(nil), l.lines...)}
 }
 
+// restoreState rejects a capture whose length does not match the geometry,
+// including one in an older format that decodes to no lines at all.
 func (l *Level) restoreState(st LevelState) error {
-	if len(st.Tags) != len(l.tags) || len(st.Lens) != len(l.lens) {
-		return fmt.Errorf("cache: %s geometry mismatch: %d/%d tags, %d/%d sets",
-			l.name, len(st.Tags), len(l.tags), len(st.Lens), len(l.lens))
+	if len(st.Lines) != len(l.lines) {
+		return fmt.Errorf("cache: %s geometry mismatch: %d/%d lines", l.name, len(st.Lines), len(l.lines))
 	}
-	for i, w := range st.Tags {
-		l.tags[i] = way{addr: mem.PhysAddr(w.Addr), lru: w.LRU}
-	}
-	copy(l.dirtyBits, st.Dirty)
-	copy(l.lens, st.Lens)
-	copy(l.mru, st.MRU)
-	l.clock = st.Clock
+	copy(l.lines, st.Lines)
 	return nil
 }
 

@@ -25,9 +25,10 @@ type Config struct {
 
 	// DisableFastPaths turns off the semantically invisible software fast
 	// paths (the core's translation cache and single-line access shortcut,
-	// the cache and TLB MRU-way probes). Simulated output is bit-identical
-	// either way — the switch exists for the equivalence tests and for
-	// isolating fast-path bugs.
+	// the TLB MRU-way probe). Simulated output is bit-identical either way
+	// — the switch exists for the equivalence tests and for isolating
+	// fast-path bugs. The cache hierarchy has no such path to turn off:
+	// its recency-ordered sets probe the MRU way first by construction.
 	DisableFastPaths bool
 
 	// EventDrivenClock makes Machine.RunUntil advance the virtual clock
@@ -98,7 +99,6 @@ func New(cfg Config) *Machine {
 	core := cpu.New(clock, stats, t, hier, ctrl)
 	if cfg.DisableFastPaths {
 		core.SetFastPaths(false)
-		hier.SetMRUProbe(false)
 		t.SetMRUProbe(false)
 	}
 	m := &Machine{

@@ -56,11 +56,10 @@ func (r *RNG) Float64() float64 {
 type Zipf struct {
 	rng   *RNG
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
-	zeta2 float64
+	rank1 float64 // 1 + 0.5^theta: draws with u*zetan below it are rank 1
 }
 
 // NewZipf builds a Zipfian sampler over [0, n) with exponent theta
@@ -69,11 +68,12 @@ func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
 	if n == 0 {
 		panic("sim: NewZipf with zero n")
 	}
-	z := &Zipf{rng: rng, n: n, theta: theta}
+	z := &Zipf{rng: rng, n: n}
 	z.zetan = zetaStatic(n, theta)
-	z.zeta2 = zetaStatic(2, theta)
+	zeta2 := zetaStatic(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.eta = (1 - pow(2.0/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
+	z.rank1 = 1.0 + pow(0.5, theta)
 	return z
 }
 
@@ -84,7 +84,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	return uint64(float64(z.n) * pow(z.eta*u-z.eta+1, z.alpha))

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -298,6 +299,38 @@ func TestZipfSkew(t *testing.T) {
 	}
 	if float64(top)/draws < 0.30 {
 		t.Fatalf("top-10 share too small: %v", float64(top)/draws)
+	}
+}
+
+// TestZipfMatchesUnhoistedFormula pins Next against the quick-zipf
+// formula evaluated in full on every draw, rank-1 threshold included: the
+// first 10k draws must be identical for each seed and shape.
+func TestZipfMatchesUnhoistedFormula(t *testing.T) {
+	for _, c := range []struct {
+		n     uint64
+		theta float64
+		seed  uint64
+	}{{1000, 0.99, 42}, {1 << 20, 0.99, 1}, {4096, 0.9, 7}, {3, 0.5, 9}} {
+		z := NewZipf(NewRNG(c.seed), c.n, c.theta)
+		rng := NewRNG(c.seed)
+		zetan := zetaStatic(c.n, c.theta)
+		alpha := 1.0 / (1.0 - c.theta)
+		eta := (1 - math.Pow(2.0/float64(c.n), 1-c.theta)) / (1 - zetaStatic(2, c.theta)/zetan)
+		for i := 0; i < 10_000; i++ {
+			u := rng.Float64()
+			var want uint64
+			switch uz := u * zetan; {
+			case uz < 1.0:
+				want = 0
+			case uz < 1.0+math.Pow(0.5, c.theta):
+				want = 1
+			default:
+				want = uint64(float64(c.n) * math.Pow(eta*u-eta+1, alpha))
+			}
+			if got := z.Next(); got != want {
+				t.Fatalf("n=%d theta=%v seed=%d draw %d: got %d, want %d", c.n, c.theta, c.seed, i, got, want)
+			}
+		}
 	}
 }
 

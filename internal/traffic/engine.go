@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"container/heap"
 	"fmt"
 
 	"kindle/internal/gemos"
@@ -42,11 +43,11 @@ type tenant struct {
 	queue []pendingOp
 	qhead int
 
-	// nextArrival is armed (arrivalDue) while a future arrival is
-	// scheduled: always in the open loop until the op budget is issued; in
-	// the closed loop only between an op's completion and the next issue.
+	// nextArrival is armed (the tenant is on Engine.armed) while a future
+	// arrival is scheduled: always in the open loop until the op budget is
+	// issued; in the closed loop only between an op's completion and the
+	// next issue.
 	nextArrival sim.Cycles
-	arrivalDue  bool
 
 	issued, done int
 }
@@ -65,6 +66,25 @@ func (t *tenant) pop() pendingOp {
 	return op
 }
 
+// arrivalHeap is a min-heap of armed tenants keyed by (nextArrival, id).
+type arrivalHeap []*tenant
+
+func (h arrivalHeap) Len() int { return len(h) }
+func (h arrivalHeap) Less(i, j int) bool {
+	if h[i].nextArrival != h[j].nextArrival {
+		return h[i].nextArrival < h[j].nextArrival
+	}
+	return h[i].id < h[j].id
+}
+func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(*tenant)) }
+func (h *arrivalHeap) Pop() any {
+	old := *h
+	t := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return t
+}
+
 // Engine drives a fleet of tenants through the kernel's scheduler. Build
 // with New, run with Run; one Engine per run.
 type Engine struct {
@@ -74,7 +94,8 @@ type Engine struct {
 
 	sched   *gemos.Scheduler
 	tenants []*tenant
-	byPID   map[int]*tenant
+	byPID   []*tenant   // indexed by PID; nil for non-tenant processes
+	armed   arrivalHeap // tenants with a scheduled arrival
 
 	aggLat  *sim.Histogram
 	kindLat [numOpKinds]*sim.Histogram
@@ -99,7 +120,6 @@ func New(k *gemos.Kernel, spec Spec) (*Engine, error) {
 		m:     k.M,
 		spec:  spec,
 		sched: gemos.NewScheduler(k, sim.FromDuration(spec.Quantum)),
-		byPID: make(map[int]*tenant),
 	}
 	e.aggLat = e.m.Stats.Hist("traffic.lat")
 	for kind := OpPoint; kind < numOpKinds; kind++ {
@@ -135,6 +155,9 @@ func New(k *gemos.Kernel, spec Spec) (*Engine, error) {
 		p.State = gemos.ProcBlocked
 		e.sched.Add(p)
 		e.tenants = append(e.tenants, t)
+		for len(e.byPID) <= p.PID {
+			e.byPID = append(e.byPID, nil)
+		}
 		e.byPID[p.PID] = t
 	}
 	return e, nil
@@ -153,28 +176,31 @@ func (e *Engine) Run() (*Result, error) {
 	for _, t := range e.tenants {
 		if e.spec.Ops > 0 {
 			t.nextArrival = now + t.arrivals.next()
-			t.arrivalDue = true
+			e.armed = append(e.armed, t)
 		}
 	}
+	heap.Init(&e.armed)
 	for e.done < e.total {
 		e.admit()
-		p := e.k.Current()
-		if p == nil || e.byPID[p.PID] == nil || e.byPID[p.PID].queued() == 0 || e.sched.NeedsResched() {
-			p = e.sched.Resched()
+		var t *tenant
+		if p := e.k.Current(); p != nil {
+			t = e.tenantOf(p)
 		}
-		if p == nil {
-			// Every tenant is blocked: park until the earliest scheduled
-			// arrival, firing timer events along the way.
-			target, ok := e.nextDeadline()
-			if !ok {
-				return nil, fmt.Errorf("traffic: engine stalled with %d/%d ops done", e.done, e.total)
+		if t == nil || t.queued() == 0 || e.sched.NeedsResched() {
+			p := e.sched.Resched()
+			if p == nil {
+				// Every tenant is blocked: park until the earliest
+				// scheduled arrival, firing timer events along the way.
+				if len(e.armed) == 0 {
+					return nil, fmt.Errorf("traffic: engine stalled with %d/%d ops done", e.done, e.total)
+				}
+				if target, now := e.armed[0].nextArrival, e.m.Clock.Now(); target > now {
+					e.k.Park(target-now, idleTick)
+				}
+				continue
 			}
-			if now := e.m.Clock.Now(); target > now {
-				e.k.Park(target-now, idleTick)
-			}
-			continue
+			t = e.tenantOf(p)
 		}
-		t := e.byPID[p.PID]
 		if err := e.exec(t, t.pop()); err != nil {
 			return nil, err
 		}
@@ -182,44 +208,37 @@ func (e *Engine) Run() (*Result, error) {
 	return e.finalize(), nil
 }
 
-// admit materializes every arrival due by now, in tenant order. Open-loop
-// tenants immediately re-arm their next arrival, so a backlogged tenant
-// keeps queueing work (the open-loop tail-latency regime).
-func (e *Engine) admit() {
-	now := e.m.Clock.Now()
-	for _, t := range e.tenants {
-		for t.arrivalDue && t.nextArrival <= now {
-			at := t.nextArrival
-			t.push(pendingOp{arrival: at, kind: t.mix.next(), off: t.keys.next(), size: t.sizes.next()})
-			t.issued++
-			switch {
-			case t.issued >= e.spec.Ops:
-				t.arrivalDue = false
-			case e.spec.Loop == LoopOpen:
-				t.nextArrival = at + t.arrivals.next()
-			default: // closed loop: re-armed at completion
-				t.arrivalDue = false
-			}
-			if t.proc.State == gemos.ProcBlocked {
-				t.proc.State = gemos.ProcReady
-			}
-		}
+// tenantOf returns p's tenant, or nil when p is not one.
+func (e *Engine) tenantOf(p *gemos.Process) *tenant {
+	if p.PID < len(e.byPID) {
+		return e.byPID[p.PID]
 	}
+	return nil
 }
 
-// nextDeadline returns the earliest armed arrival across tenants.
-func (e *Engine) nextDeadline() (sim.Cycles, bool) {
-	var min sim.Cycles
-	found := false
-	for _, t := range e.tenants {
-		if !t.arrivalDue {
-			continue
+// admit materializes every arrival due by now, earliest first. Each
+// tenant draws from its own RNG and queues into its own queue, so the
+// order across tenants is invisible to the simulation. Open-loop tenants
+// immediately re-arm their next arrival, so a backlogged tenant keeps
+// queueing work (the open-loop tail-latency regime).
+func (e *Engine) admit() {
+	now := e.m.Clock.Now()
+	for len(e.armed) > 0 && e.armed[0].nextArrival <= now {
+		t := e.armed[0]
+		at := t.nextArrival
+		t.push(pendingOp{arrival: at, kind: t.mix.next(), off: t.keys.next(), size: t.sizes.next()})
+		t.issued++
+		if t.issued < e.spec.Ops && e.spec.Loop == LoopOpen {
+			t.nextArrival = at + t.arrivals.next()
+			heap.Fix(&e.armed, 0)
+		} else {
+			// Budget issued, or closed loop: re-armed at completion.
+			heap.Pop(&e.armed)
 		}
-		if !found || t.nextArrival < min {
-			min, found = t.nextArrival, true
+		if t.proc.State == gemos.ProcBlocked {
+			t.proc.State = gemos.ProcReady
 		}
 	}
-	return min, found
 }
 
 // exec runs one operation on the core as tenant t, records its latency
@@ -260,8 +279,10 @@ func (e *Engine) exec(t *tenant, op pendingOp) error {
 	t.done++
 	e.done++
 	if e.spec.Loop == LoopClosed && t.issued < e.spec.Ops {
+		// A closed-loop tenant left the heap when this op arrived, so it
+		// is pushed back exactly once.
 		t.nextArrival = e.m.Clock.Now() + t.arrivals.next()
-		t.arrivalDue = true
+		heap.Push(&e.armed, t)
 	}
 	if t.queued() == 0 {
 		t.proc.State = gemos.ProcBlocked
