@@ -16,9 +16,9 @@ import (
 var benchReportPath = flag.String("bench-report", "", "write the replay/suite benchmark report JSON to this path")
 
 // TestWriteBenchReport measures replay throughput (materialized and
-// streamed) and suite wall-clock and writes them as JSON. Skipped unless
-// -bench-report is set, so regular `go test` runs don't pay the
-// measurement.
+// streamed), traffic-engine throughput and suite wall-clock and writes
+// them as JSON. Skipped unless -bench-report is set, so regular `go test`
+// runs don't pay the measurement.
 func TestWriteBenchReport(t *testing.T) {
 	if *benchReportPath == "" {
 		t.Skip("enabled by -bench-report <path> (see `make bench`)")
@@ -39,6 +39,9 @@ func TestWriteBenchReport(t *testing.T) {
 	rep.StreamRecordsPerSec = bs.Extra["records/sec"]
 	bh := testing.Benchmark(BenchmarkShardedReplayThroughput)
 	rep.ShardedRecordsPerSec = bh.Extra["records/sec"]
+
+	bt := testing.Benchmark(trafficEngineBench(32))
+	rep.TrafficOpsPerSec = bt.Extra["ops/s"]
 
 	// Idle-skip win of the event-driven clock on the checkpoint-lifecycle
 	// workload: stepped ns/op over event-driven ns/op. Informational (the
@@ -72,9 +75,9 @@ func TestWriteBenchReport(t *testing.T) {
 	if err := rep.WriteFile(*benchReportPath); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: %.0f records/sec (stream %.0f at %d workers, sharded %.0f at %d shards), event-clock speedup %.2fx, fork speedup %.2fx (%d allocs/fork), suite %.1fs at scale %g on %d procs",
+	t.Logf("wrote %s: %.0f records/sec (stream %.0f at %d workers, sharded %.0f at %d shards), traffic %.0f ops/s, event-clock speedup %.2fx, fork speedup %.2fx (%d allocs/fork), suite %.1fs at scale %g on %d procs",
 		*benchReportPath, rep.RecordsPerSec, rep.StreamRecordsPerSec, rep.DecodeWorkers,
-		rep.ShardedRecordsPerSec, rep.Shards, rep.EventClockSpeedup,
+		rep.ShardedRecordsPerSec, rep.Shards, rep.TrafficOpsPerSec, rep.EventClockSpeedup,
 		rep.ForkSpeedup, rep.ForkAllocsPerFork, rep.SuiteWallClockSec,
 		rep.SuiteScale, rep.GOMAXPROCS)
 }

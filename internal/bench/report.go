@@ -37,6 +37,11 @@ type Report struct {
 	// refused without normalization, like gomaxprocs.
 	Shards        int `json:"shards,omitempty"`
 	DecodeWorkers int `json:"decode_workers,omitempty"`
+	// TrafficOpsPerSec is BenchmarkTrafficEngine's 32-tenant metric:
+	// traffic-engine operations per host second through gemOS scheduling,
+	// faults and the full access path. Zero in reports from before it was
+	// recorded.
+	TrafficOpsPerSec float64 `json:"traffic_ops_per_sec,omitempty"`
 	// EventClockSpeedup is the stepped-over-event-driven wall-clock ratio
 	// on the idle-heavy long-horizon checkpoint lifecycle
 	// (BenchmarkSteppedClockLongHorizon ns/op over
@@ -213,6 +218,18 @@ func CompareReports(base, fresh *Report, opt CompareOptions) (warnings []string,
 			base.ShardedRecordsPerSec / base.normProcs(),
 			fresh.ShardedRecordsPerSec / fresh.normProcs(),
 		})
+	}
+	switch {
+	case base.TrafficOpsPerSec > 0 && fresh.TrafficOpsPerSec > 0:
+		metrics = append(metrics, metric{
+			"traffic_ops_per_sec",
+			base.TrafficOpsPerSec / base.normProcs(),
+			fresh.TrafficOpsPerSec / fresh.normProcs(),
+		})
+	case fresh.TrafficOpsPerSec > 0:
+		warnings = append(warnings, fmt.Sprintf(
+			"traffic_ops_per_sec: base report lacks it (fresh %.0f); not gated",
+			fresh.TrafficOpsPerSec))
 	}
 	var failures []string
 	for _, m := range metrics {

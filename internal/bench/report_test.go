@@ -176,6 +176,49 @@ func TestCompareReportsShardedMetric(t *testing.T) {
 	}
 }
 
+// TestCompareReportsTrafficMetric: traffic_ops_per_sec is gated with the
+// throughput thresholds when both reports carry it; a base without it
+// (recorded before the metric existed) yields a notice, not a failure.
+func TestCompareReportsTrafficMetric(t *testing.T) {
+	opt := CompareOptions{WarnFrac: 0.10, FailFrac: 0.20}
+	base := &Report{RecordsPerSec: 1000, TrafficOpsPerSec: 500_000, GOMAXPROCS: 1}
+	for _, tc := range []struct {
+		name     string
+		fresh    float64
+		fail     bool
+		warnings int
+	}{
+		{"unchanged", 500_000, false, 0},
+		{"warn drop", 425_000, false, 1},
+		{"fail drop", 350_000, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := &Report{RecordsPerSec: 1000, TrafficOpsPerSec: tc.fresh, GOMAXPROCS: 1}
+			warnings, err := CompareReports(base, fresh, opt)
+			if (err != nil) != tc.fail {
+				t.Fatalf("err = %v, want failure %t", err, tc.fail)
+			}
+			if err != nil && !strings.Contains(err.Error(), "traffic_ops_per_sec") {
+				t.Fatalf("failure does not name the metric: %v", err)
+			}
+			if !tc.fail && len(warnings) != tc.warnings {
+				t.Fatalf("warnings %q, want %d", warnings, tc.warnings)
+			}
+		})
+	}
+	t.Run("base lacks it", func(t *testing.T) {
+		old := &Report{RecordsPerSec: 1000, GOMAXPROCS: 1}
+		fresh := &Report{RecordsPerSec: 1000, TrafficOpsPerSec: 1, GOMAXPROCS: 1}
+		warnings, err := CompareReports(old, fresh, opt)
+		if err != nil {
+			t.Fatalf("missing base metric failed the gate: %v", err)
+		}
+		if len(warnings) != 1 || !strings.Contains(warnings[0], "traffic_ops_per_sec") {
+			t.Fatalf("warnings %q, want one notice naming traffic_ops_per_sec", warnings)
+		}
+	})
+}
+
 // TestCompareReportsRefusesShardMismatch: shards and decode_workers are
 // environment knobs — reports measured at different values are refused
 // without -normalize-env, like gomaxprocs.

@@ -114,7 +114,7 @@ func TestSchedulerSkipsBlocked(t *testing.T) {
 			t.Fatalf("Resched %d picked %v, want the only runnable process", i, got)
 		}
 	}
-	p2.State = ProcReady
+	s.Wake(p2)
 	picked := map[*Process]bool{}
 	picked[s.Resched()] = true
 	picked[s.Resched()] = true

@@ -17,8 +17,10 @@ const (
 	ProcRunning
 	ProcZombie
 	// ProcBlocked marks a process waiting for work (an empty tenant queue
-	// in the traffic engine, a sleeping service). The scheduler skips
-	// blocked processes; setting State back to ProcReady unblocks.
+	// in the traffic engine, a sleeping service). Writing it to State
+	// blocks; the scheduler skips blocked processes. Only Scheduler.Wake
+	// unblocks a scheduled process: a direct write back to ProcReady
+	// leaves it invisible to Resched.
 	ProcBlocked
 )
 
@@ -86,7 +88,14 @@ type Process struct {
 	// it is current).
 	acct         Acct
 	dispatchedAt sim.Cycles
+
+	// schedSlot is the process's index in its Scheduler's queue, kept
+	// by Scheduler.rebuild so Wake finds its ready bit in O(1).
+	schedSlot int
 }
+
+// runnable reports whether the scheduler may pick p.
+func (p *Process) runnable() bool { return p.State != ProcZombie && p.State != ProcBlocked }
 
 // Accounting returns a copy of the process's resource accounting. While the
 // process is running, CPUCycles excludes the current dispatch period; call

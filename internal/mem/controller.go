@@ -105,21 +105,10 @@ func (c *Controller) Read(pa PhysAddr, dst []byte) { c.domain.Read(pa, dst) }
 func (c *Controller) Write(pa PhysAddr, src []byte) { c.domain.Write(pa, src) }
 
 // ReadU64 reads a little-endian uint64 (cache-visible).
-func (c *Controller) ReadU64(pa PhysAddr) uint64 {
-	var buf [8]byte
-	c.domain.Read(pa, buf[:])
-	return uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24 |
-		uint64(buf[4])<<32 | uint64(buf[5])<<40 | uint64(buf[6])<<48 | uint64(buf[7])<<56
-}
+func (c *Controller) ReadU64(pa PhysAddr) uint64 { return c.domain.ReadU64(pa) }
 
 // WriteU64 writes a little-endian uint64 (cache-visible).
-func (c *Controller) WriteU64(pa PhysAddr, v uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-	c.domain.Write(pa, buf[:])
-}
+func (c *Controller) WriteU64(pa PhysAddr, v uint64) { c.domain.WriteU64(pa, v) }
 
 // Domain exposes the persist domain (commit, crash, pending queries).
 func (c *Controller) Domain() *PersistDomain { return c.domain }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -166,6 +167,35 @@ func (p *PersistDomain) Write(pa PhysAddr, src []byte) {
 		src = src[n:]
 		pa += PhysAddr(n)
 	}
+}
+
+// ReadU64 reads the cache-visible little-endian word at pa, like an
+// 8-byte Read. An 8-aligned word lies inside one line, so it is read in
+// place: from the pending buffer when its NVM line has one, from backing
+// otherwise. Unaligned words take the byte path.
+func (p *PersistDomain) ReadU64(pa PhysAddr) uint64 {
+	if pa%8 != 0 {
+		var buf [8]byte
+		p.Read(pa, buf[:])
+		return binary.LittleEndian.Uint64(buf[:])
+	}
+	if buf, ok := p.pendingNVM(pa, LineBase(pa)); ok {
+		return binary.LittleEndian.Uint64(buf[pa%LineSize:])
+	}
+	return p.backing.ReadU64(pa)
+}
+
+// WriteU64 stores the little-endian word v at pa, like an 8-byte Write.
+// An 8-aligned word outside NVM goes straight to backing; NVM and
+// unaligned words take the byte path, which maintains the pending image.
+func (p *PersistDomain) WriteU64(pa PhysAddr, v uint64) {
+	if pa%8 == 0 && !p.isNVM(pa) {
+		p.backing.WriteU64(pa, v)
+		return
+	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	p.Write(pa, buf[:])
 }
 
 // CommitLine makes the pending contents of the line containing pa durable.

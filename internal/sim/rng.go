@@ -63,7 +63,8 @@ type Zipf struct {
 }
 
 // NewZipf builds a Zipfian sampler over [0, n) with exponent theta
-// (YCSB default 0.99).
+// (YCSB default 0.99). Set-up sums n powers; rng may be nil for a table
+// that is only sampled through WithRNG copies.
 func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
 	if n == 0 {
 		panic("sim: NewZipf with zero n")
@@ -75,6 +76,14 @@ func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
 	z.eta = (1 - pow(2.0/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
 	z.rank1 = 1.0 + pow(0.5, theta)
 	return z
+}
+
+// WithRNG returns a sampler with z's distribution drawing from rng, so
+// samplers over the same (n, theta) share one set-up.
+func (z *Zipf) WithRNG(rng *RNG) *Zipf {
+	c := *z
+	c.rng = rng
+	return &c
 }
 
 // Next returns the next sample in [0, n); rank 0 is the hottest item.

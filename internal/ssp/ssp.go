@@ -232,6 +232,10 @@ func (c *Controller) OnTranslate(e *tlb.Entry, va uint64, write bool) {
 	if !e.NVM || !c.inRange(va) {
 		return
 	}
+	if e.SSPValid && !write {
+		// A load through filled fields touches no SSP state.
+		return
+	}
 	vpn := va / mem.PageSize
 	mt, ok := c.entries[vpn]
 	if !ok {

@@ -61,14 +61,20 @@ type keySampler struct {
 	keys uint64
 }
 
-func newKeySampler(spec Spec, rng *sim.RNG) keySampler {
-	keys := spec.Footprint / keyStride
-	if keys == 0 {
-		keys = 1
+// keyCount is the number of keys in a tenant's area.
+func keyCount(spec Spec) uint64 {
+	if keys := spec.Footprint / keyStride; keys > 0 {
+		return keys
 	}
-	ks := keySampler{rng: rng, keys: keys}
-	if spec.Keys == KeysZipf {
-		ks.zipf = sim.NewZipf(rng, keys, spec.Theta)
+	return 1
+}
+
+// newKeySampler builds a tenant's key sampler; zipf is the engine's shared
+// table for Zipfian specs (nil for uniform keys).
+func newKeySampler(spec Spec, zipf *sim.Zipf, rng *sim.RNG) keySampler {
+	ks := keySampler{rng: rng, keys: keyCount(spec)}
+	if zipf != nil {
+		ks.zipf = zipf.WithRNG(rng)
 	}
 	return ks
 }

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"container/heap"
 	"fmt"
 
 	"kindle/internal/gemos"
@@ -69,20 +68,58 @@ func (t *tenant) pop() pendingOp {
 // arrivalHeap is a min-heap of armed tenants keyed by (nextArrival, id).
 type arrivalHeap []*tenant
 
-func (h arrivalHeap) Len() int { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool {
+func (h arrivalHeap) less(i, j int) bool {
 	if h[i].nextArrival != h[j].nextArrival {
 		return h[i].nextArrival < h[j].nextArrival
 	}
 	return h[i].id < h[j].id
 }
-func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(*tenant)) }
-func (h *arrivalHeap) Pop() any {
+
+// push adds t, keyed by its current nextArrival.
+func (h *arrivalHeap) push(t *tenant) {
+	*h = append(*h, t)
+	h.up(len(*h) - 1)
+}
+
+// popMin removes the earliest tenant.
+func (h *arrivalHeap) popMin() {
 	old := *h
-	t := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return t
+	n := len(old) - 1
+	old[0] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	h.down(0)
+}
+
+// up sifts slot i toward the root.
+func (h arrivalHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+// down sifts slot i toward the leaves; after the root's key grows it
+// restores the heap in place of a pop and push.
+func (h arrivalHeap) down(i int) {
+	for {
+		least := 2*i + 1
+		if least >= len(h) {
+			return
+		}
+		if r := least + 1; r < len(h) && h.less(r, least) {
+			least = r
+		}
+		if !h.less(least, i) {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // Engine drives a fleet of tenants through the kernel's scheduler. Build
@@ -125,6 +162,13 @@ func New(k *gemos.Kernel, spec Spec) (*Engine, error) {
 	for kind := OpPoint; kind < numOpKinds; kind++ {
 		e.kindLat[kind] = e.m.Stats.Hist("traffic.lat." + kind.String())
 	}
+	// Every tenant draws Zipfian keys over the same (keys, theta), so the
+	// engine builds the table once and each tenant samples through a copy
+	// bound to its own RNG.
+	var zipf *sim.Zipf
+	if spec.Keys == KeysZipf {
+		zipf = sim.NewZipf(nil, keyCount(spec), spec.Theta)
+	}
 	for i := 0; i < spec.Tenants; i++ {
 		p, err := k.Spawn(fmt.Sprintf("tenant-%04d", i))
 		if err != nil {
@@ -147,7 +191,7 @@ func New(k *gemos.Kernel, spec Spec) (*Engine, error) {
 			areaLen:  spec.Footprint,
 			nvm:      nvm,
 			arrivals: newArrivalSampler(spec, rng),
-			keys:     newKeySampler(spec, rng),
+			keys:     newKeySampler(spec, zipf, rng),
 			sizes:    newSizeSampler(spec, rng),
 			mix:      newMixPicker(spec.Mix, rng),
 			lat:      e.m.Stats.Hist(TenantLatStat(i)),
@@ -176,10 +220,9 @@ func (e *Engine) Run() (*Result, error) {
 	for _, t := range e.tenants {
 		if e.spec.Ops > 0 {
 			t.nextArrival = now + t.arrivals.next()
-			e.armed = append(e.armed, t)
+			e.armed.push(t)
 		}
 	}
-	heap.Init(&e.armed)
 	for e.done < e.total {
 		e.admit()
 		var t *tenant
@@ -230,14 +273,12 @@ func (e *Engine) admit() {
 		t.issued++
 		if t.issued < e.spec.Ops && e.spec.Loop == LoopOpen {
 			t.nextArrival = at + t.arrivals.next()
-			heap.Fix(&e.armed, 0)
+			e.armed.down(0)
 		} else {
 			// Budget issued, or closed loop: re-armed at completion.
-			heap.Pop(&e.armed)
+			e.armed.popMin()
 		}
-		if t.proc.State == gemos.ProcBlocked {
-			t.proc.State = gemos.ProcReady
-		}
+		e.sched.Wake(t.proc)
 	}
 }
 
@@ -282,7 +323,7 @@ func (e *Engine) exec(t *tenant, op pendingOp) error {
 		// A closed-loop tenant left the heap when this op arrived, so it
 		// is pushed back exactly once.
 		t.nextArrival = e.m.Clock.Now() + t.arrivals.next()
-		heap.Push(&e.armed, t)
+		e.armed.push(t)
 	}
 	if t.queued() == 0 {
 		t.proc.State = gemos.ProcBlocked

@@ -229,34 +229,3 @@ func TestEngineDumpSectionStable(t *testing.T) {
 		t.Fatal("prefix filter leaked non-traffic stats into the section")
 	}
 }
-
-// BenchmarkTrafficEngine times Engine.Run for 8000 open-loop operations
-// spread over 8 or 32 tenants on the small machine (boot and tenant
-// spawning are untimed) and reports host throughput as ops/s.
-func BenchmarkTrafficEngine(b *testing.B) {
-	for _, tenants := range []int{8, 32} {
-		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
-			spec := DefaultSpec()
-			spec.Tenants = tenants
-			spec.Ops = 8000 / tenants
-			spec.Footprint = 1 << 20
-			spec.Rate = 40_000
-			ops := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng, err := New(gemos.Boot(machine.New(machine.TestConfig())), spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res, err := eng.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ops += int(res.Ops)
-			}
-			b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
-}
