@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race bench benchsmoke crashsweep fuzzsmoke allocguard monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke perfbenchtest nightly profile
+.PHONY: all build test check fmt vet lint race bench benchsmoke crashsweep fuzzsmoke allocguard monitorsmoke shardsmoke trafficsmoke forksmoke perfbenchtest nightly profile
 
 all: build test
 
@@ -16,14 +16,12 @@ test:
 # benchmark so the perf harness can't silently rot, a bounded commit-point
 # crash sweep, a short fuzz of the trace decoders, the live-monitor smoke
 # (real kindle binary scraped over HTTP mid-run), the sharded-replay
-# smoke (real binary, -shards 1 vs 4 stats dumps diffed), and the
-# event-clock smoke (real binary, stepped vs -event-clock dumps diffed),
-# the traffic smoke (real binary, a seeded multi-tenant spec run twice
-# stepped and once with -event-clock, all three dumps diffed), and the
-# snapshot/fork smoke (real binary, -snapshot-out then two -snapshot-in
-# resumes, all dumps diffed against a cold run), and the repository
-# benchmark's own unit tests.
-check: fmt vet race allocguard benchsmoke crashsweep fuzzsmoke monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke perfbenchtest
+# smoke (real binary, -shards 1 vs 4 stats dumps diffed), the traffic
+# smoke (real binary, a seeded multi-tenant spec run twice, both dumps
+# diffed), the snapshot/fork smoke (real binary, -snapshot-out then two
+# -snapshot-in resumes, all dumps diffed against a cold run), and the
+# repository benchmark's own unit tests.
+check: fmt vet race allocguard benchsmoke crashsweep fuzzsmoke monitorsmoke shardsmoke trafficsmoke forksmoke perfbenchtest
 
 # allocguard pins the replay fast path's zero-allocation steady state (see
 # allocguard_test.go); it needs a non-race build because race instrumentation
@@ -68,17 +66,10 @@ monitorsmoke:
 shardsmoke:
 	$(GO) test -run TestShardSmoke .
 
-# eventsmoke builds the real kindle binary and replays the same image with
-# checkpoints and an idle tail, stepped and with -event-clock; the two
-# stats dumps must be byte-identical — the event-driven clock's identity
-# contract, end to end (see event_smoke_test.go).
-eventsmoke:
-	$(GO) test -run TestEventSmoke .
-
 # trafficsmoke builds the real kindle binary and runs the same seeded
-# multi-tenant traffic spec three times — twice stepped, once with
-# -event-clock — requiring byte-identical stats dumps: the traffic engine's
-# determinism contract, end to end (see traffic_smoke_test.go).
+# multi-tenant traffic spec twice, requiring byte-identical stats dumps:
+# the traffic engine's determinism contract, end to end (see
+# traffic_smoke_test.go).
 trafficsmoke:
 	$(GO) test -run TestTrafficSmoke .
 
@@ -109,12 +100,13 @@ lint:
 
 # nightly is the scheduled deep gate (.github/workflows/nightly.yml): a
 # larger bounded crash sweep than the push gate's, plus the KINDLE_NIGHTLY
-# identity suite (long-horizon lifecycle and large traffic runs, stepped vs
-# event-driven, byte-diffed). KINDLE_NIGHTLY_DIR collects divergence
-# artifacts for upload.
+# golden digests (a long-horizon lifecycle and a large traffic run, each
+# checked against its recorded stats-dump digest and final clock; the
+# traffic run also against a repeat run). KINDLE_NIGHTLY_DIR collects
+# mismatching dumps as artifacts for upload.
 nightly:
 	$(GO) run ./cmd/kindle-bench -experiment crash-sweep -scale 0.25 -check
-	KINDLE_NIGHTLY=1 $(GO) test -run TestNightly -timeout 45m -v ./internal/bench
+	KINDLE_NIGHTLY=1 $(GO) test -run TestNightly -timeout 45m -v .
 
 # profile records CPU and allocation profiles for both replay benchmarks
 # under profiles/ (gitignored). See "Recipe: profiling the replay engine"

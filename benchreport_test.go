@@ -43,16 +43,6 @@ func TestWriteBenchReport(t *testing.T) {
 	bt := testing.Benchmark(trafficEngineBench(32))
 	rep.TrafficOpsPerSec = bt.Extra["ops/s"]
 
-	// Idle-skip win of the event-driven clock on the checkpoint-lifecycle
-	// workload: stepped ns/op over event-driven ns/op. Informational (the
-	// dumps are identity-gated; only host time differs), so benchdiff never
-	// gates on it.
-	stepped := testing.Benchmark(BenchmarkSteppedClockLongHorizon)
-	event := testing.Benchmark(BenchmarkEventClockLongHorizon)
-	if ns := event.NsPerOp(); ns > 0 {
-		rep.EventClockSpeedup = float64(stepped.NsPerOp()) / float64(ns)
-	}
-
 	// Warm-fork win: cold grid-cell warmup ns/op over copy-on-write
 	// fork+resume ns/op, plus the fork's allocation count. Informational
 	// (fork and cold boot are identity-gated; only host time differs).
@@ -75,9 +65,8 @@ func TestWriteBenchReport(t *testing.T) {
 	if err := rep.WriteFile(*benchReportPath); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: %.0f records/sec (stream %.0f at %d workers, sharded %.0f at %d shards), traffic %.0f ops/s, event-clock speedup %.2fx, fork speedup %.2fx (%d allocs/fork), suite %.1fs at scale %g on %d procs",
+	t.Logf("wrote %s: %.0f records/sec (stream %.0f at %d workers, sharded %.0f at %d shards), traffic %.0f ops/s, fork speedup %.2fx (%d allocs/fork), suite %.1fs at scale %g on %d procs",
 		*benchReportPath, rep.RecordsPerSec, rep.StreamRecordsPerSec, rep.DecodeWorkers,
-		rep.ShardedRecordsPerSec, rep.Shards, rep.TrafficOpsPerSec, rep.EventClockSpeedup,
-		rep.ForkSpeedup, rep.ForkAllocsPerFork, rep.SuiteWallClockSec,
+		rep.ShardedRecordsPerSec, rep.Shards, rep.TrafficOpsPerSec, rep.ForkSpeedup, rep.ForkAllocsPerFork, rep.SuiteWallClockSec,
 		rep.SuiteScale, rep.GOMAXPROCS)
 }

@@ -53,9 +53,6 @@ func main() {
 	monitorAddr := flag.String("monitor", "", "serve live telemetry on this HTTP address (e.g. :8090): /metrics, /events, /progress, /debug/pprof/")
 	monitorHold := flag.Duration("monitor-hold", 0, "keep the monitor endpoint serving this long after the run completes")
 	decodeWorkers := flag.Int("decode-workers", 0, "v2 chunk-decode worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	eventClock := flag.Bool("event-clock", false, "advance the clock event-to-event instead of stepping cycle groups; stats are identical either way, idle-heavy runs finish faster")
-	idleAfter := flag.Duration("idle-after", 0, "keep the machine idling this much simulated time after the replay (timers keep firing); mainly for exercising -event-clock")
-	idleTick := flag.Duration("idle-tick", 10*time.Microsecond, "cycle-group grain for -idle-after idling")
 	shards := flag.Int("shards", 0, "replay the trace sharded across N machine instances (0 = off); requires a v2 -image")
 	segmentChunks := flag.Int("segment-chunks", 0, "sharded partition grain in chunks (0 = default); affects results, unlike -shards")
 	shardStatsDir := flag.String("shard-stats-dir", "", "with -shards, also write each segment's stats file into this directory")
@@ -82,25 +79,17 @@ func main() {
 			fatal(fmt.Errorf("-snapshot-out/-snapshot-in are incompatible with -crash-at"))
 		case *traceOut != "" || *statsInterval > 0:
 			fatal(fmt.Errorf("-snapshot-out/-snapshot-in are incompatible with -trace-out/-stats-interval"))
-		case *idleAfter > 0:
-			fatal(fmt.Errorf("-snapshot-out/-snapshot-in are incompatible with -idle-after"))
 		}
 	}
 	if *snapshotIn != "" {
-		// The snapshot pins the persistence scheme and the clock engine; the
-		// flags that would re-choose them are refused rather than silently
-		// ignored.
+		// The snapshot pins the persistence scheme; the flag that would
+		// re-choose it is refused rather than silently ignored.
 		if *persistMode != "" {
 			fatal(fmt.Errorf("-snapshot-in restores the persistence state captured in the snapshot; drop -persist"))
 		}
 		if *snapshotOut != "" {
 			fatal(fmt.Errorf("-snapshot-in and -snapshot-out are mutually exclusive"))
 		}
-		flag.Visit(func(fl *flag.Flag) {
-			if fl.Name == "event-clock" {
-				fatal(fmt.Errorf("-snapshot-in restores the clock engine captured in the snapshot; drop -event-clock"))
-			}
-		})
 		runFromSnapshot(snapshotFlags{
 			snapshotIn:    *snapshotIn,
 			image:         *image,
@@ -127,8 +116,6 @@ func main() {
 			fatal(fmt.Errorf("-traffic is incompatible with -crash-at (crash points are trace fractions)"))
 		case *traceOut != "" || *statsInterval > 0:
 			fatal(fmt.Errorf("-traffic is incompatible with -trace-out/-stats-interval"))
-		case *idleAfter > 0:
-			fatal(fmt.Errorf("-traffic is incompatible with -idle-after (the engine idles between arrivals itself)"))
 		}
 		seedSet := false
 		flag.Visit(func(fl *flag.Flag) {
@@ -146,7 +133,6 @@ func main() {
 			interval:    *interval,
 			stats:       *stats,
 			statsOut:    *statsOut,
-			eventClock:  *eventClock,
 			monitorAddr: *monitorAddr,
 			monitorHold: *monitorHold,
 		})
@@ -165,8 +151,6 @@ func main() {
 			fatal(fmt.Errorf("-shards is incompatible with -ssp/-hscc (prototypes attach to one machine)"))
 		case *traceOut != "" || *statsInterval > 0:
 			fatal(fmt.Errorf("-shards is incompatible with -trace-out/-stats-interval"))
-		case *idleAfter > 0:
-			fatal(fmt.Errorf("-shards is incompatible with -idle-after (idling is per-machine)"))
 		}
 		runSharded(shardedFlags{
 			image:       *image,
@@ -175,7 +159,6 @@ func main() {
 			statsDir:    *shardStatsDir,
 			stats:       *stats,
 			statsOut:    *statsOut,
-			eventClock:  *eventClock,
 			monitorAddr: *monitorAddr,
 			monitorHold: *monitorHold,
 		})
@@ -189,7 +172,6 @@ func main() {
 	defer src.Close()
 
 	cfg := machine.DefaultConfig()
-	cfg.EventDrivenClock = *eventClock
 	if *traceOut != "" {
 		mask, err := obs.ParseCategories(*traceCats)
 		if err != nil {
@@ -372,14 +354,6 @@ func main() {
 		fmt.Println("note: post-crash replay stopped:", err)
 	}
 
-	// Optional idle tail: simulated time keeps passing with no instructions
-	// in flight, so checkpoint/migration/scheduler timers keep firing. This
-	// is the idle-skip case the event-driven clock exists for; the stats are
-	// identical either way.
-	if *idleAfter > 0 {
-		f.RunIdle(*idleAfter, *idleTick)
-	}
-
 	if mon != nil {
 		progConsumed.Store(int64(rep.Consumed()))
 		progDone.Store(true)
@@ -507,7 +481,6 @@ type shardedFlags struct {
 	statsDir    string
 	stats       bool
 	statsOut    string
-	eventClock  bool
 	monitorAddr string
 	monitorHold time.Duration
 }
@@ -573,12 +546,9 @@ func runSharded(fl shardedFlags) {
 	}
 
 	start := time.Now()
-	cfg := machine.DefaultConfig()
-	cfg.EventDrivenClock = fl.eventClock
 	res, err := core.ReplayShardedFile(fl.image, core.ShardedOptions{
 		Shards:        fl.shards,
 		SegmentChunks: fl.segChunks,
-		Config:        &cfg,
 		OnProgress: func(done, total int) {
 			progDone.Store(int64(done))
 			progTotal.Store(int64(total))

@@ -26,7 +26,6 @@ type trafficFlags struct {
 
 	stats       bool
 	statsOut    string
-	eventClock  bool
 	monitorAddr string
 	monitorHold time.Duration
 }
@@ -43,7 +42,7 @@ type trafficProgress struct {
 // runTraffic drives the multi-tenant synthetic-load engine: N gemOS
 // processes time-sliced on one machine, contending for shared DRAM/NVM and
 // (with -persist) checkpoint bandwidth. Same seed + spec ⇒ byte-identical
-// stats dumps, under -event-clock too.
+// stats dumps.
 func runTraffic(fl trafficFlags) {
 	specStr := fl.spec
 	if specStr == "default" {
@@ -67,7 +66,6 @@ func runTraffic(fl trafficFlags) {
 	if fl.small {
 		cfg = machine.TestConfig()
 	}
-	cfg.EventDrivenClock = fl.eventClock
 	f := core.New(cfg)
 
 	var progDone, progTotal atomic.Int64

@@ -22,15 +22,8 @@ import (
 )
 
 func TestForkSmoke(t *testing.T) {
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
+	bin := kindleBinary(t)
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "kindle")
-	if out, err := exec.Command(gobin, "build", "-o", bin, "./cmd/kindle").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/kindle: %v\n%s", err, out)
-	}
 
 	cfg := workloads.SmallYCSB()
 	cfg.Ops = 20_000

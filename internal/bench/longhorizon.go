@@ -7,21 +7,17 @@ import (
 
 	"kindle/internal/core"
 	"kindle/internal/gemos"
-	"kindle/internal/machine"
 	"kindle/internal/mem"
 	"kindle/internal/persist"
 	"kindle/internal/sim"
 )
 
 // LongHorizonConfig describes the idle-heavy checkpoint-lifecycle workload
-// behind BenchmarkEventClockLongHorizon and the event-clock identity test:
-// short bursts of page touches separated by long idle windows in which only
-// the checkpoint timer and NVM write-buffer drains are active, optionally
-// with a crash + recovery in the middle. Zero-value fields take defaults.
+// behind BenchmarkLongHorizon and the long-horizon golden digests: short
+// bursts of page touches separated by long idle windows in which only the
+// checkpoint timer and NVM write-buffer drains are active, optionally with
+// a crash + recovery in the middle. Zero-value fields take defaults.
 type LongHorizonConfig struct {
-	// EventDriven selects machine.Config.EventDrivenClock for the run. The
-	// results are byte-identical either way; only host wall clock differs.
-	EventDriven bool
 	// Phases is the number of work+idle rounds (default 6).
 	Phases int
 	// OpsPerPhase is the number of page touches per round (default 32).
@@ -29,9 +25,9 @@ type LongHorizonConfig struct {
 	// IdlePerPhase is the simulated idle gap after each round's ops
 	// (default 50 ms — 150 M cycles of dead time per round).
 	IdlePerPhase time.Duration
-	// IdleTick is the stepped engine's cycle-group grain during the idle
-	// gaps (default 250 ns). The event-driven engine jumps straight
-	// between due boundaries instead of visiting each one.
+	// IdleTick is the cycle-group grain during the idle gaps (default
+	// 250 ns): due timers fire on boundaries IdleTick apart, and the clock
+	// jumps straight between boundaries that have due events.
 	IdleTick time.Duration
 	// Interval is the checkpoint interval (default 5 ms).
 	Interval time.Duration
@@ -67,19 +63,16 @@ type LongHorizonResult struct {
 	Checkpoints uint64
 	// Crashes is machine.crashes at the end of the run.
 	Crashes uint64
-	// Dump is the full stats dump, the identity-comparison artifact.
+	// Dump is the full stats dump, the artifact the golden digests pin.
 	Dump []byte
 }
 
 // RunLongHorizon executes the lifecycle on a fresh small machine. The
 // workload is fully deterministic (seeded RNG, no host-time dependence), so
-// two runs differing only in EventDriven must return identical results —
-// that is the event-clock identity gate.
+// repeated runs of one config return identical results.
 func RunLongHorizon(cfg LongHorizonConfig) (*LongHorizonResult, error) {
 	cfg = cfg.withDefaults()
-	mcfg := machine.TestConfig()
-	mcfg.EventDrivenClock = cfg.EventDriven
-	f := core.New(mcfg)
+	f := core.NewSmall()
 	if _, err := f.EnablePersistence(persist.Rebuild, cfg.Interval); err != nil {
 		return nil, fmt.Errorf("bench: longhorizon persistence: %w", err)
 	}

@@ -99,7 +99,7 @@ func (f *Framework) EnableHSCC(p *gemos.Process, cfg hscc.Config) (*hscc.Control
 // shared memory system (and, when persistence is enabled, checkpoint
 // bandwidth). onOp, when non-nil, observes per-op progress. The run is
 // deterministic: the same spec and seed produce byte-identical stats
-// dumps, under the stepped and the event-driven clock alike.
+// dumps.
 func (f *Framework) RunTraffic(spec traffic.Spec, onOp func(done, total int)) (*traffic.Result, error) {
 	eng, err := traffic.New(f.K, spec)
 	if err != nil {
@@ -130,10 +130,10 @@ func (f *Framework) Recover(interval time.Duration) ([]*gemos.Process, error) {
 func (f *Framework) Manager() *persist.Manager { return f.mgr }
 
 // RunIdle passes d of simulated time with no instructions in flight —
-// checkpoint timers, migration intervals and NVM drains keep firing. tick
-// is the stepped engine's cycle-group grain (0 = a single step); with
-// machine.Config.EventDrivenClock set the clock jumps dead time instead,
-// with byte-identical stats (see machine.RunUntil).
+// checkpoint timers, migration intervals and NVM drains keep firing. Due
+// events fire on boundaries tick apart (0 = a single step to the end), so
+// the grain affects results; the clock jumps straight between boundaries
+// that have due events (see machine.RunUntil).
 func (f *Framework) RunIdle(d, tick time.Duration) {
 	f.M.RunUntil(f.M.Clock.Now()+sim.FromDuration(d), sim.FromDuration(tick))
 }

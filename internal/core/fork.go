@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -176,14 +177,43 @@ type snapshotFile struct {
 	Img  mem.BackingImage
 }
 
-// Save serializes the snapshot (gob). The output is deterministic: all
-// captured state is name- or address-sorted.
+// A snapshot file starts with snapshotMagic and a big-endian uint32
+// format version, then the gob body. Gob matches fields by name and
+// silently drops or zeroes the ones a build does not share with the
+// writer, so snapshotVersion must be bumped whenever captured state
+// changes shape; LoadSnapshot refuses any other version.
+const (
+	snapshotMagic = "KINDLESNAP"
+	// snapshotVersion is the snapshot file format Save writes. Files from
+	// before the header existed carry no version at all.
+	snapshotVersion uint32 = 1
+)
+
+// Save serializes the snapshot: the header, then gob. The output is
+// deterministic: all captured state is name- or address-sorted.
 func (s *Snapshot) Save(w io.Writer) error {
+	hdr := binary.BigEndian.AppendUint32([]byte(snapshotMagic), snapshotVersion)
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
 	return gob.NewEncoder(w).Encode(snapshotFile{Snap: s, Img: s.M.BackingImage()})
 }
 
 // LoadSnapshot deserializes a snapshot written by Save, ready for Resume.
+// It refuses a file whose header is missing or names another format
+// version.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
+	hdr := make([]byte, len(snapshotMagic)+4)
+	if _, err := io.ReadFull(r, hdr); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("core: reading snapshot header: %w", err)
+	}
+	if string(hdr[:len(snapshotMagic)]) != snapshotMagic {
+		return nil, fmt.Errorf("core: snapshot format version %d expected, found a file with no %q header (unversioned or not a snapshot)",
+			snapshotVersion, snapshotMagic)
+	}
+	if v := binary.BigEndian.Uint32(hdr[len(snapshotMagic):]); v != snapshotVersion {
+		return nil, fmt.Errorf("core: snapshot format version %d expected, found version %d", snapshotVersion, v)
+	}
 	var sf snapshotFile
 	if err := gob.NewDecoder(r).Decode(&sf); err != nil {
 		return nil, fmt.Errorf("core: decoding snapshot: %w", err)

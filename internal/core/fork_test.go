@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,20 +129,6 @@ func TestForkIdentityWithPersistence(t *testing.T) {
 	}
 }
 
-func TestForkIdentityEventClock(t *testing.T) {
-	cfg := machine.TestConfig()
-	cfg.EventDrivenClock = true
-	scheme := persist.Rebuild
-	wantDump, wantClock := coldForkRun(t, cfg, &scheme)
-	child, _, childClock := warmForkRun(t, cfg, &scheme)
-	if childClock != wantClock {
-		t.Fatalf("forked clock %d != cold %d", childClock, wantClock)
-	}
-	if child != wantDump {
-		t.Fatalf("forked dump differs from cold boot:\n%s", firstDiff(child, wantDump))
-	}
-}
-
 // TestForkSiblingsIndependent resumes several children from one snapshot
 // concurrently; under -race this pins that siblings share no mutable
 // state, and their dumps must all match the cold reference.
@@ -244,6 +232,64 @@ func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 	if got := cf.M.Stats.Dump(""); got != wantDump {
 		t.Fatalf("resumed dump differs from cold boot:\n%s", firstDiff(got, wantDump))
 	}
+}
+
+// TestSnapshotFileHeader pins the snapshot file's magic/version header:
+// Save writes it, LoadSnapshot accepts it, and a headerless file (the
+// format before the header existed, a bare gob stream) or a file naming
+// another version is refused with an error that names both versions.
+func TestSnapshotFileHeader(t *testing.T) {
+	f := New(machine.TestConfig())
+	_, rep, err := f.LaunchInit(smallImage(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rep.Step(forkWarmup); err != nil {
+		t.Fatal(err)
+	}
+	snap := f.Snapshot(rep)
+	var buf bytes.Buffer
+	if err := snap.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+
+	t.Run("round-trip", func(t *testing.T) {
+		if !bytes.HasPrefix(saved, []byte("KINDLESNAP\x00\x00\x00\x01")) {
+			t.Fatalf("file starts %q, want the magic and version 1", saved[:14])
+		}
+		loaded, err := LoadSnapshot(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.M.Now != snap.M.Now || loaded.Replay.Consumed != snap.Replay.Consumed {
+			t.Fatalf("loaded clock %d at record %d, saved %d at %d",
+				loaded.M.Now, loaded.Replay.Consumed, snap.M.Now, snap.Replay.Consumed)
+		}
+	})
+	t.Run("headerless", func(t *testing.T) {
+		var old bytes.Buffer
+		if err := gob.NewEncoder(&old).Encode(snapshotFile{Snap: snap, Img: snap.M.BackingImage()}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSnapshot(&old)
+		if err == nil || !strings.Contains(err.Error(), "version 1 expected") || !strings.Contains(err.Error(), "no \"KINDLESNAP\" header") {
+			t.Fatalf("headerless file: err = %v", err)
+		}
+	})
+	t.Run("wrong-version", func(t *testing.T) {
+		bad := bytes.Clone(saved)
+		bad[len("KINDLESNAP")+3] = 7
+		_, err := LoadSnapshot(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), "version 1 expected, found version 7") {
+			t.Fatalf("version 7 file: err = %v", err)
+		}
+	})
+	t.Run("truncated", func(t *testing.T) {
+		if _, err := LoadSnapshot(bytes.NewReader(saved[:5])); err == nil {
+			t.Fatal("a 5-byte file loaded")
+		}
+	})
 }
 
 // TestForkThenCrashRecover crashes a forked machine and runs recovery on

@@ -31,16 +31,6 @@ type Config struct {
 	// its recency-ordered sets probe the MRU way first by construction.
 	DisableFastPaths bool
 
-	// EventDrivenClock makes Machine.RunUntil advance the virtual clock
-	// directly to the next group boundary with a due event instead of
-	// ticking every cycle group through dead time. Simulated output is
-	// bit-identical either way (same boundaries fire the same events; the
-	// skipped boundaries are exactly the ones where RunDue would have been
-	// a no-op) — pinned by TestEventClockStatsIdentity and the machine
-	// run-loop property tests, same identity-gate pattern as
-	// DisableFastPaths.
-	EventDrivenClock bool
-
 	// Trace enables the structured event tracer. Zero-value Categories
 	// leaves tracing off (Machine.Tracer stays nil; emission sites are
 	// nil-safe and allocation-free in that state).
@@ -112,8 +102,8 @@ func New(cfg Config) *Machine {
 		TLB:    t,
 		Core:   core,
 	}
-	// NVM write-buffer drains surface as "nvm.drain" events so the
-	// event-driven run loop sees them as deadlines (Config.EventDrivenClock).
+	// NVM write-buffer drains surface as "nvm.drain" events so the run
+	// loop sees them as deadlines (RunUntil).
 	ctrl.NVM().SetEvents(m.Events)
 	if cfg.Trace.Categories != 0 {
 		capacity := cfg.Trace.BufferCap

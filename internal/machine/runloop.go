@@ -3,21 +3,18 @@ package machine
 import "kindle/internal/sim"
 
 // RunUntil advances the machine with no instructions in flight until the
-// clock reaches target, firing due events along the way. group is the
-// cycle-group grain of the stepped engine: the clock advances group cycles
-// at a time (clamped at target) and Tick runs at each boundary, exactly as
-// an OS run loop interleaving Clock.Advance with Machine.Tick would.
-// group <= 0 means a single step to target.
+// clock reaches target, firing due events along the way. Events fire on
+// cycle-group boundaries: the boundaries lie group cycles apart, measured
+// from wherever the clock stood at the previous one (clamped at target),
+// exactly as an OS run loop interleaving Clock.Advance with Machine.Tick
+// would visit them. group <= 0 means a single step to target.
 //
-// With Cfg.EventDrivenClock set, the loop instead jumps the clock straight
-// to the first group boundary at or past the earliest pending deadline
-// (clamped at target). Boundaries strictly before that deadline have no due
-// events — their Tick is a no-op with zero observable effect — so skipping
-// them leaves clocks, stats and event firing order byte-identical to the
-// stepped engine. Handlers that advance the clock themselves (checkpoints
-// do) are handled identically in both engines: each iteration re-reads the
-// clock and measures the next boundary from wherever the last handler left
-// it.
+// The loop jumps the clock straight to the first boundary at or past the
+// earliest pending deadline (clamped at target) and ticks there.
+// Boundaries strictly before that deadline have no due events, so visiting
+// them would be a no-op. Handlers that advance the clock themselves
+// (checkpoints do) move the origin of the next boundary: each iteration
+// re-reads the clock and measures from wherever the last handler left it.
 func (m *Machine) RunUntil(target, group sim.Cycles) {
 	now := m.Clock.Now()
 	if target <= now {
@@ -26,25 +23,12 @@ func (m *Machine) RunUntil(target, group sim.Cycles) {
 	if group <= 0 {
 		group = target - now
 	}
-	if !m.Cfg.EventDrivenClock {
-		for now < target {
-			step := group
-			if rem := target - now; rem < step {
-				step = rem
-			}
-			m.Clock.Advance(step)
-			m.Tick()
-			now = m.Clock.Now()
-		}
-		return
-	}
 	for now < target {
 		next := target
 		if when, ok := m.Events.NextDeadline(); ok && when <= target {
 			// First group boundary >= the deadline. A deadline already
 			// at or before now (scheduled by a handler that just ran)
-			// fires at the next boundary, now+group — the stepped engine
-			// would not see it before then either.
+			// fires at the next boundary, now+group.
 			boundary := now + group
 			if when > now {
 				k := (when - now + group - 1) / group
@@ -60,8 +44,8 @@ func (m *Machine) RunUntil(target, group sim.Cycles) {
 	}
 }
 
-// RunIdle advances the machine d cycles of idle time at the given group
-// grain; see RunUntil.
+// RunIdle advances the machine d cycles of idle time, firing due events on
+// boundaries group cycles apart; see RunUntil.
 func (m *Machine) RunIdle(d, group sim.Cycles) {
 	m.RunUntil(m.Clock.Now()+d, group)
 }

@@ -8,17 +8,38 @@ import (
 	"kindle/internal/sim"
 )
 
-// runloopScript drives one Machine's RunUntil through a randomized event
-// population — one-shot events, self-rescheduling periodic timers, and
-// handlers that advance the clock mid-tick (checkpoints do) — and returns
-// the firing log plus the final clock. The script depends only on the seed,
-// so a stepped and an event-driven machine given the same seed must produce
-// identical logs: that is the run-loop half of the identity gate.
-func runloopScript(t *testing.T, seed uint64, eventDriven bool) ([]string, sim.Cycles) {
+// steppedRunUntil is the stepped run loop RunUntil replaced, kept as the
+// reference it is checked against: it advances the clock one cycle group
+// at a time (clamped at target) and ticks at every boundary, due events or
+// not.
+func steppedRunUntil(m *Machine, target, group sim.Cycles) {
+	now := m.Clock.Now()
+	if target <= now {
+		return
+	}
+	if group <= 0 {
+		group = target - now
+	}
+	for now < target {
+		step := group
+		if rem := target - now; rem < step {
+			step = rem
+		}
+		m.Clock.Advance(step)
+		m.Tick()
+		now = m.Clock.Now()
+	}
+}
+
+// runloopScript drives one Machine through a randomized event population —
+// one-shot events, self-rescheduling periodic timers, and handlers that
+// advance the clock mid-tick (checkpoints do) — advancing time with
+// runUntil, and returns the firing log plus the final clock. The script
+// depends only on the seed, so RunUntil and steppedRunUntil given the same
+// seed must produce identical logs.
+func runloopScript(t *testing.T, seed uint64, runUntil func(m *Machine, target, group sim.Cycles)) ([]string, sim.Cycles) {
 	t.Helper()
-	cfg := TestConfig()
-	cfg.EventDrivenClock = eventDriven
-	m := New(cfg)
+	m := New(TestConfig())
 	rng := sim.NewRNG(seed)
 	var log []string
 	record := func(name string, fire sim.Cycles) {
@@ -56,24 +77,24 @@ func runloopScript(t *testing.T, seed uint64, eventDriven bool) ([]string, sim.C
 	// Alternate idle stretches at varying grains with instant work bursts
 	// that schedule more events (some already due).
 	for step := 0; step < 8; step++ {
-		group := sim.Cycles(1 + rng.Intn(700))
-		m.RunIdle(sim.Cycles(2000+rng.Intn(6000)), group)
+		group := sim.Cycles(rng.Intn(701)) // 0: one step to the target
+		runUntil(m, m.Clock.Now()+sim.Cycles(2000+rng.Intn(6000)), group)
 		name := fmt.Sprintf("mid%d", step)
 		delta := sim.Cycles(rng.Intn(300)) // sometimes 0: due immediately
 		m.Events.Schedule(m.Clock.Now()+delta, name, func(fire sim.Cycles) { record(name, fire) })
 	}
-	m.RunUntil(m.Clock.Now()+20_000, 256)
+	runUntil(m, m.Clock.Now()+20_000, 256)
 	return log, m.Clock.Now()
 }
 
-// TestRunUntilEnginesEquivalent is the randomized property: for any event
-// population and idle pattern, the stepped and event-driven run loops fire
-// the same events at the same deadlines with the same clock values, and
-// finish at the same cycle.
-func TestRunUntilEnginesEquivalent(t *testing.T) {
+// TestRunUntilMatchesStepped is the randomized property: for any event
+// population and idle pattern, RunUntil fires the same events at the same
+// deadlines with the same clock values as the stepped loop that visits
+// every boundary, and finishes at the same cycle.
+func TestRunUntilMatchesStepped(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		stepped, sc := runloopScript(t, seed, false)
-		event, ec := runloopScript(t, seed, true)
+		stepped, sc := runloopScript(t, seed, steppedRunUntil)
+		event, ec := runloopScript(t, seed, (*Machine).RunUntil)
 		if sc != ec {
 			t.Fatalf("seed %d: final clocks differ: stepped %d, event %d", seed, sc, ec)
 		}
@@ -93,26 +114,22 @@ func TestRunUntilEnginesEquivalent(t *testing.T) {
 // TestRunUntilDegenerateArgs pins the edge cases: a target at or before now
 // is a no-op, and group 0 means one step straight to the target.
 func TestRunUntilDegenerateArgs(t *testing.T) {
-	for _, eventDriven := range []bool{false, true} {
-		cfg := TestConfig()
-		cfg.EventDrivenClock = eventDriven
-		m := New(cfg)
-		m.Clock.AdvanceTo(1000)
-		m.RunUntil(1000, 16) // target == now
-		m.RunUntil(500, 16)  // target < now
-		if m.Clock.Now() != 1000 {
-			t.Fatalf("eventDriven=%v: clock moved to %d on no-op RunUntil", eventDriven, m.Clock.Now())
-		}
-		fired := 0
-		m.Events.Schedule(1500, "x", func(sim.Cycles) { fired++ })
-		m.RunUntil(2000, 0) // single step to target
-		if m.Clock.Now() != 2000 || fired != 1 {
-			t.Fatalf("eventDriven=%v: clock %d fired %d, want 2000/1", eventDriven, m.Clock.Now(), fired)
-		}
+	m := New(TestConfig())
+	m.Clock.AdvanceTo(1000)
+	m.RunUntil(1000, 16) // target == now
+	m.RunUntil(500, 16)  // target < now
+	if m.Clock.Now() != 1000 {
+		t.Fatalf("clock moved to %d on no-op RunUntil", m.Clock.Now())
+	}
+	fired := 0
+	m.Events.Schedule(1500, "x", func(sim.Cycles) { fired++ })
+	m.RunUntil(2000, 0) // single step to target
+	if m.Clock.Now() != 2000 || fired != 1 {
+		t.Fatalf("clock %d fired %d, want 2000/1", m.Clock.Now(), fired)
 	}
 }
 
-// TestRunUntilConcurrentMachinesIsolated runs many event-driven machines
+// TestRunUntilConcurrentMachinesIsolated runs many machines
 // concurrently, each with self-rescheduling events mutating only their own
 // machine's state. Under -race this pins the satellite requirement that
 // event callbacks share no state across sharded machines.
@@ -124,9 +141,7 @@ func TestRunUntilConcurrentMachinesIsolated(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := TestConfig()
-			cfg.EventDrivenClock = true
-			m := New(cfg)
+			m := New(TestConfig())
 			var fn func(sim.Cycles)
 			fn = func(fire sim.Cycles) {
 				logs[i] = append(logs[i], fmt.Sprintf("tick@%d", fire))

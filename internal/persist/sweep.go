@@ -30,23 +30,9 @@ type SweepConfig struct {
 	OpGap    sim.Cycles
 
 	// IdleTick is the cycle-group grain used to pass OpGap between ops
-	// (0 = a single step, the historical behavior). The gap goes through
-	// Kernel.Idle, so the sweep exercises whichever clock engine the
-	// machine is configured with.
+	// (0 = a single step, the historical behavior): due timers fire on
+	// boundaries IdleTick cycles apart. The gap goes through Kernel.Idle.
 	IdleTick sim.Cycles
-
-	// EventClock runs the sweep machines with the event-driven clock
-	// engine (machine.Config.EventDrivenClock) instead of the stepped one.
-	// Outcomes are identical either way; the switch exists so crash sweeps
-	// cover both engines.
-	EventClock bool
-}
-
-// machineConfig builds the sweep's machine configuration.
-func (c SweepConfig) machineConfig() machine.Config {
-	mc := machine.TestConfig()
-	mc.EventDrivenClock = c.EventClock
-	return mc
 }
 
 func (c SweepConfig) withDefaults() SweepConfig {
@@ -229,7 +215,7 @@ func runSweepWorkload(m *machine.Machine, cfg SweepConfig, inj *fault.Injector, 
 func PlanSweep(cfg SweepConfig) (SweepPlan, error) {
 	cfg = cfg.withDefaults()
 	obs := fault.NewObserver()
-	m := machine.New(cfg.machineConfig())
+	m := machine.New(machine.TestConfig())
 	m.SetCommitHook(obs)
 	var plan SweepPlan
 	k, p, mgr, err := sweepBoot(m, cfg, obs, &plan)
@@ -281,7 +267,7 @@ func RunCrashPoint(cfg SweepConfig, plan SweepPlan, inj *fault.Injector) error {
 			runErr = sweepRun(k, p, cfg)
 		})
 	} else {
-		m = machine.New(cfg.machineConfig())
+		m = machine.New(machine.TestConfig())
 		m.SetCommitHook(inj)
 		crashed = fault.Crashed(func() {
 			runErr = runSweepWorkload(m, cfg, inj, nil)

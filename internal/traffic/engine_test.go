@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -13,11 +12,9 @@ import (
 
 // runDump executes spec on a fresh small machine and returns the result
 // plus the full stats dump.
-func runDump(t *testing.T, spec Spec, event bool) (*Result, string) {
+func runDump(t *testing.T, spec Spec) (*Result, string) {
 	t.Helper()
-	cfg := machine.TestConfig()
-	cfg.EventDrivenClock = event
-	m := machine.New(cfg)
+	m := machine.New(machine.TestConfig())
 	eng, err := New(gemos.Boot(m), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -39,44 +36,21 @@ func quickSpec() Spec {
 
 func TestEngineSeedDeterminism(t *testing.T) {
 	spec := quickSpec()
-	_, a := runDump(t, spec, false)
-	_, b := runDump(t, spec, false)
+	_, a := runDump(t, spec)
+	_, b := runDump(t, spec)
 	if a != b {
 		t.Fatal("same seed + spec produced different stats dumps")
 	}
 	spec.Seed = 99
-	_, c := runDump(t, spec, false)
+	_, c := runDump(t, spec)
 	if a == c {
 		t.Fatal("different seeds produced identical dumps; the seed is not reaching the samplers")
 	}
 }
 
-func TestEngineEventClockIdentity(t *testing.T) {
-	for _, loop := range []LoopKind{LoopOpen, LoopClosed} {
-		spec := quickSpec()
-		spec.Loop = loop
-		_, stepped := runDump(t, spec, false)
-		_, event := runDump(t, spec, true)
-		if stepped != event {
-			t.Fatalf("%s-loop: stepped vs event-clock dumps differ:\n%s",
-				loop, firstLineDiff(stepped, event))
-		}
-	}
-}
-
-func firstLineDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n  stepped: %s\n  event:   %s", i+1, al[i], bl[i])
-		}
-	}
-	return "dumps differ in length only"
-}
-
 func TestEngineCompletesBudgetAndAccounts(t *testing.T) {
 	spec := quickSpec()
-	res, dump := runDump(t, spec, false)
+	res, dump := runDump(t, spec)
 	if res.Ops != uint64(spec.Tenants*spec.Ops) {
 		t.Fatalf("completed %d ops, want %d", res.Ops, spec.Tenants*spec.Ops)
 	}
@@ -121,7 +95,7 @@ func TestEngineCompletesBudgetAndAccounts(t *testing.T) {
 func TestEngineZeroOps(t *testing.T) {
 	spec := quickSpec()
 	spec.Ops = 0
-	res, _ := runDump(t, spec, false)
+	res, _ := runDump(t, spec)
 	if res.Ops != 0 {
 		t.Fatalf("zero-budget run completed %d ops", res.Ops)
 	}
@@ -141,9 +115,9 @@ func TestEngineLatencyIncludesQueueing(t *testing.T) {
 	base.Arrival = ArrivalFixed
 	base.Rate = 50_000_000 // one op per 60 cycles: unserviceable
 	base.Loop = LoopOpen
-	open, _ := runDump(t, base, false)
+	open, _ := runDump(t, base)
 	base.Loop = LoopClosed
-	closed, _ := runDump(t, base, false)
+	closed, _ := runDump(t, base)
 	if open.MeanLat < 4*closed.MeanLat {
 		t.Fatalf("open-loop backlog mean %v not clearly above closed-loop %v; queueing delay is not being measured",
 			open.MeanLat, closed.MeanLat)

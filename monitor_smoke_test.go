@@ -13,7 +13,6 @@ import (
 	"io"
 	"net/http"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -22,14 +21,7 @@ import (
 )
 
 func TestMonitorSmoke(t *testing.T) {
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	bin := filepath.Join(t.TempDir(), "kindle")
-	if out, err := exec.Command(gobin, "build", "-o", bin, "./cmd/kindle").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/kindle: %v\n%s", err, out)
-	}
+	bin := kindleBinary(t)
 
 	// -monitor-hold keeps the endpoint up after the replay finishes so the
 	// test can observe the terminal /progress state without racing the

@@ -20,15 +20,8 @@ import (
 )
 
 func TestShardSmoke(t *testing.T) {
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
+	bin := kindleBinary(t)
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "kindle")
-	if out, err := exec.Command(gobin, "build", "-o", bin, "./cmd/kindle").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/kindle: %v\n%s", err, out)
-	}
 
 	// A tiny image with deliberately small chunks, so even this trace
 	// splits into enough segments for 4 shards to matter.

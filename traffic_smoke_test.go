@@ -1,11 +1,10 @@
 package kindle_test
 
-// Traffic smoke test (`make trafficsmoke`, part of `make check`): build the
-// real kindle binary and run the same seeded multi-tenant traffic spec
-// three times — twice stepped, once with -event-clock — requiring all three
-// stats dumps to be byte-identical. This pins the traffic engine's
-// determinism contract end to end: same seed + spec ⇒ the same arrivals,
-// the same schedule, the same dump, whichever clock engine runs it.
+// Traffic smoke test (`make trafficsmoke`, part of `make check`): run the
+// real kindle binary twice on the same seeded multi-tenant traffic spec,
+// requiring the two stats dumps to be byte-identical. This pins the
+// traffic engine's determinism contract end to end: same seed + spec ⇒ the
+// same arrivals, the same schedule, the same dump.
 
 import (
 	"bytes"
@@ -16,64 +15,44 @@ import (
 )
 
 func TestTrafficSmoke(t *testing.T) {
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
+	bin := kindleBinary(t)
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "kindle")
-	if out, err := exec.Command(gobin, "build", "-o", bin, "./cmd/kindle").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/kindle: %v\n%s", err, out)
-	}
 
 	const spec = "tenants=6;ops=400;mix=scan:0.2,point:0.7,write:0.1;footprint=128KiB"
-	runs := []struct {
-		name  string
-		extra []string
-	}{
-		{"stepped-a", nil},
-		{"stepped-b", nil},
-		{"event", []string{"-event-clock"}},
-	}
+	runs := []string{"a", "b"}
 	dumps := make([][]byte, len(runs))
-	for i, r := range runs {
-		statsOut := filepath.Join(dir, "stats."+r.name)
-		args := append([]string{
+	for i, name := range runs {
+		statsOut := filepath.Join(dir, "stats."+name)
+		if out, err := exec.Command(bin,
 			"-traffic", spec,
 			"-seed", "7",
 			"-small",
 			"-persist", "rebuild",
 			"-interval", "300us",
 			"-stats-out", statsOut,
-		}, r.extra...)
-		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
-			t.Fatalf("kindle (%s): %v\n%s", r.name, err, out)
+		).CombinedOutput(); err != nil {
+			t.Fatalf("kindle (%s): %v\n%s", name, err, out)
 		}
 		data, err := os.ReadFile(statsOut)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(data) == 0 {
-			t.Fatalf("%s run wrote an empty stats file", r.name)
+			t.Fatalf("%s run wrote an empty stats file", name)
 		}
 		if !bytes.Contains(data, []byte("traffic.t0005.lat::samples")) {
-			t.Fatalf("%s stats file lacks per-tenant latency histograms", r.name)
+			t.Fatalf("%s stats file lacks per-tenant latency histograms", name)
 		}
 		dumps[i] = data
 	}
-	for i := 1; i < len(runs); i++ {
-		if bytes.Equal(dumps[0], dumps[i]) {
-			continue
-		}
+	if !bytes.Equal(dumps[0], dumps[1]) {
 		al := bytes.Split(dumps[0], []byte("\n"))
-		bl := bytes.Split(dumps[i], []byte("\n"))
+		bl := bytes.Split(dumps[1], []byte("\n"))
 		for j := 0; j < len(al) && j < len(bl); j++ {
 			if !bytes.Equal(al[j], bl[j]) {
-				t.Fatalf("stats dumps diverge (%s vs %s) at line %d:\n %s: %s\n %s: %s",
-					runs[0].name, runs[i].name, j+1, runs[0].name, al[j], runs[i].name, bl[j])
+				t.Fatalf("stats dumps diverge at line %d:\n a: %s\n b: %s", j+1, al[j], bl[j])
 			}
 		}
-		t.Fatalf("stats dumps differ in length (%s vs %s): %d vs %d lines",
-			runs[0].name, runs[i].name, len(al), len(bl))
+		t.Fatalf("stats dumps differ in length: %d vs %d lines", len(al), len(bl))
 	}
 }
