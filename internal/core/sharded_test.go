@@ -94,41 +94,46 @@ func TestShardedStatsIdentity(t *testing.T) {
 
 // TestShardedWarmForkIdentity pins the snapshot-seeded sharding claim:
 // segments forked from the shared boot snapshot produce dumps
-// byte-identical to cold-booted segments, at every shard count.
+// byte-identical to cold-booted segments, at every shard count. The
+// subtest keeps the name of the default-config leg from when RunUntil
+// also had a stepped engine; TestRunUntilMatchesStepped ties today's
+// single run loop to that engine.
 func TestShardedWarmForkIdentity(t *testing.T) {
-	path := shardedImageFile(t, smallImage(t), 1024)
-	cfg := machine.TestConfig()
-	opt := ShardedOptions{Shards: 1, SegmentChunks: 3, Config: &cfg}
-	cold, err := ReplayShardedFile(path, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldDump := cold.Stats.Dump("")
-	for _, shards := range []int{1, 2, 4} {
-		opt.Shards = shards
-		opt.WarmFork = true
-		warm, err := ReplayShardedFile(path, opt)
+	t.Run("stepped", func(t *testing.T) {
+		path := shardedImageFile(t, smallImage(t), 1024)
+		cfg := machine.TestConfig()
+		opt := ShardedOptions{Shards: 1, SegmentChunks: 3, Config: &cfg}
+		cold, err := ReplayShardedFile(path, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.Records != cold.Records {
-			t.Fatalf("warm fork at %d shards replayed %d records, cold %d",
-				shards, warm.Records, cold.Records)
-		}
-		if warm.Cycles != cold.Cycles {
-			t.Fatalf("warm fork at %d shards: %d cycles, cold %d",
-				shards, warm.Cycles, cold.Cycles)
-		}
-		if dump := warm.Stats.Dump(""); dump != coldDump {
-			t.Fatalf("warm-forked %d-shard dump diverged from cold boot", shards)
-		}
-		for i := range warm.Segments {
-			if warm.Segments[i].Cycles != cold.Segments[i].Cycles {
-				t.Fatalf("segment %d: warm clock %d, cold %d",
-					i, warm.Segments[i].Cycles, cold.Segments[i].Cycles)
+		coldDump := cold.Stats.Dump("")
+		for _, shards := range []int{1, 2, 4} {
+			opt.Shards = shards
+			opt.WarmFork = true
+			warm, err := ReplayShardedFile(path, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Records != cold.Records {
+				t.Fatalf("warm fork at %d shards replayed %d records, cold %d",
+					shards, warm.Records, cold.Records)
+			}
+			if warm.Cycles != cold.Cycles {
+				t.Fatalf("warm fork at %d shards: %d cycles, cold %d",
+					shards, warm.Cycles, cold.Cycles)
+			}
+			if dump := warm.Stats.Dump(""); dump != coldDump {
+				t.Fatalf("warm-forked %d-shard dump diverged from cold boot", shards)
+			}
+			for i := range warm.Segments {
+				if warm.Segments[i].Cycles != cold.Segments[i].Cycles {
+					t.Fatalf("segment %d: warm clock %d, cold %d",
+						i, warm.Segments[i].Cycles, cold.Segments[i].Cycles)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestShardedDegenerateInputs pins the zero-record and

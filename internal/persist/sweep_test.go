@@ -291,42 +291,46 @@ func TestV2PMirrorIndices(t *testing.T) {
 // TestSweepPrefixForkIdentity pins the prefix-fork claim directly: running
 // the op loop on a machine forked from the plan's prefix snapshot must end
 // in a state byte-identical to a cold machine running boot + ops end to
-// end.
+// end. The subtest keeps the name of the default-config leg from when
+// RunUntil also had a stepped engine; TestRunUntilMatchesStepped ties
+// today's single run loop to that engine.
 func TestSweepPrefixForkIdentity(t *testing.T) {
-	cfg := sweepTestCfg(Rebuild)
-	full := cfg.withDefaults()
+	t.Run("stepped", func(t *testing.T) {
+		cfg := sweepTestCfg(Rebuild)
+		full := cfg.withDefaults()
 
-	cold := machine.New(machine.TestConfig())
-	cold.SetCommitHook(fault.NewObserver())
-	if err := runSweepWorkload(cold, full, fault.NewObserver(), nil); err != nil {
-		t.Fatal(err)
-	}
-	coldDump := cold.Stats.Dump("")
-	coldClock := cold.Clock.Now()
+		cold := machine.New(machine.TestConfig())
+		cold.SetCommitHook(fault.NewObserver())
+		if err := runSweepWorkload(cold, full, fault.NewObserver(), nil); err != nil {
+			t.Fatal(err)
+		}
+		coldDump := cold.Stats.Dump("")
+		coldClock := cold.Clock.Now()
 
-	plan, err := PlanSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.prefix == nil {
-		t.Fatal("plan carries no prefix snapshot")
-	}
-	fm, k, _, err := plan.prefix.resume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm.SetCommitHook(fault.NewObserver())
-	p := k.Current()
-	if p == nil {
-		t.Fatal("forked kernel has no current process")
-	}
-	if err := sweepRun(k, p, full); err != nil {
-		t.Fatal(err)
-	}
-	if got := fm.Clock.Now(); got != coldClock {
-		t.Fatalf("forked clock %d != cold %d", got, coldClock)
-	}
-	if got := fm.Stats.Dump(""); got != coldDump {
-		t.Fatalf("forked sweep dump differs from cold run")
-	}
+		plan, err := PlanSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.prefix == nil {
+			t.Fatal("plan carries no prefix snapshot")
+		}
+		fm, k, _, err := plan.prefix.resume()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fm.SetCommitHook(fault.NewObserver())
+		p := k.Current()
+		if p == nil {
+			t.Fatal("forked kernel has no current process")
+		}
+		if err := sweepRun(k, p, full); err != nil {
+			t.Fatal(err)
+		}
+		if got := fm.Clock.Now(); got != coldClock {
+			t.Fatalf("forked clock %d != cold %d", got, coldClock)
+		}
+		if got := fm.Stats.Dump(""); got != coldDump {
+			t.Fatalf("forked sweep dump differs from cold run")
+		}
+	})
 }
